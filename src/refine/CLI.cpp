@@ -5,6 +5,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "refine/CLI.h"
+#include "support/Profile.h"
+#include "support/Stats.h"
+#include "support/Trace.h"
 
 #include <cerrno>
 #include <cstdio>
@@ -56,7 +59,7 @@ bool cli::parseDuration(const char *S, double &Out) {
   return true;
 }
 
-std::string cli::optionsUsage(bool IncludeJobs) {
+std::string cli::optionsUsage(bool IncludeJobs, bool IncludeObservability) {
   std::string U;
   if (IncludeJobs)
     U += "  -j N             verify pairs on N parallel workers "
@@ -79,7 +82,38 @@ std::string cli::optionsUsage(bool IncludeJobs) {
        "  --mem-limit MB   memory watchdog: cancel the longest-running pair "
        "when process\n"
        "                   RSS exceeds MB megabytes (0 = off)\n";
+  if (IncludeObservability)
+    U += "  --stats          print the statistics registry after the run\n"
+         "  --trace-out FILE stream JSONL pipeline events to FILE\n"
+         "  --profile        print the per-phase profile table after the "
+         "run\n"
+         "  --profile-out FILE  write a Chrome trace-event profile "
+         "(Perfetto / chrome://tracing)\n";
   return U;
+}
+
+bool Observability::start(bool CollectSpans) {
+  if (TraceOut && !trace::openFile(TraceOut)) {
+    std::fprintf(stderr, "error: cannot open trace file '%s'\n", TraceOut);
+    return false;
+  }
+  if (Profile || ProfileOut || CollectSpans)
+    prof::start();
+  return true;
+}
+
+int Observability::finish(int RC, std::FILE *Tables) {
+  if (Stats)
+    std::fputs(stats::Registry::get().table().c_str(), Tables);
+  if (Profile)
+    std::fputs(prof::table().c_str(), Tables);
+  if (ProfileOut && !prof::writeChromeTrace(ProfileOut)) {
+    std::fprintf(stderr, "error: cannot write profile file '%s'\n",
+                 ProfileOut);
+    RC = 2;
+  }
+  trace::close();
+  return RC;
 }
 
 Parsed OptionsParser::consume(int Argc, char **Argv, int &I) {
@@ -171,6 +205,26 @@ Parsed OptionsParser::consume(int Argc, char **Argv, int &I) {
       return Parsed::Error;
     }
     Opts.MaxRssBytes = (size_t)Mb << 20;
+    return Parsed::Ok;
+  }
+  if (Obs && !std::strcmp(A, "--stats")) {
+    Obs->Stats = true;
+    return Parsed::Ok;
+  }
+  if (Obs && !std::strcmp(A, "--profile")) {
+    Obs->Profile = true;
+    return Parsed::Ok;
+  }
+  if (Obs && !std::strcmp(A, "--trace-out")) {
+    if (!value())
+      return Parsed::Error;
+    Obs->TraceOut = Val;
+    return Parsed::Ok;
+  }
+  if (Obs && !std::strcmp(A, "--profile-out")) {
+    if (!value())
+      return Parsed::Error;
+    Obs->ProfileOut = Val;
     return Parsed::Ok;
   }
   if (Jobs && (!std::strcmp(A, "-j") || !std::strcmp(A, "--jobs"))) {

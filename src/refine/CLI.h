@@ -9,10 +9,13 @@
 /// argv loop for the flags that map onto refine::Options — and the copies
 /// diverged: alive-tv validated values, alive-opt and alive-corpus ran them
 /// through atoi and silently accepted garbage. This parser owns the shared
-/// flags (--unroll, --timeout, --equivalence, the cache flags --cache-dir /
-/// --no-query-cache, and -j/--jobs where a tool is parallel); tools offer
-/// each argv slot to it first and keep only their tool-specific flags.
-/// Malformed values are diagnosed on stderr and the tool exits 2.
+/// flags (--unroll, --timeout, --equivalence, --cache-dir,
+/// --no-query-cache, --retry, --deadline, --mem-limit; -j/--jobs where a
+/// tool is parallel; and the observability flags --stats, --trace-out FILE,
+/// --profile and --profile-out FILE where a tool opts in, together with
+/// their set-up and tear-down); tools offer each argv slot to it first and
+/// keep only their tool-specific flags. Malformed values are diagnosed on
+/// stderr and the tool exits 2.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +24,7 @@
 
 #include "refine/Refinement.h"
 
+#include <cstdio>
 #include <string>
 
 namespace alive::refine::cli {
@@ -45,14 +49,36 @@ enum class Parsed {
 };
 
 /// Usage lines for the shared flags, each "  --flag ...\n", for a tool to
-/// splice into its own usage() output. \p IncludeJobs adds the -j line.
-std::string optionsUsage(bool IncludeJobs);
+/// splice into its own usage() output. \p IncludeJobs adds the -j line,
+/// \p IncludeObservability the observability flags.
+std::string optionsUsage(bool IncludeJobs, bool IncludeObservability = false);
+
+/// The observability flags of a tool that opts in.
+class Observability {
+public:
+  /// Opens the --trace-out file; starts span collection for --profile,
+  /// --profile-out or \p CollectSpans (a tool's own span consumer).
+  /// \returns false after a diagnostic when the file cannot be opened.
+  bool start(bool CollectSpans = false);
+
+  /// Prints the --stats and --profile tables to \p Tables, writes the
+  /// --profile-out file and closes the trace; every exit after start()
+  /// returns through here. \returns \p RC, or 2 on a write failure.
+  int finish(int RC, std::FILE *Tables);
+
+private:
+  friend class OptionsParser;
+  bool Stats = false, Profile = false;
+  const char *TraceOut = nullptr, *ProfileOut = nullptr;
+};
 
 class OptionsParser {
 public:
-  /// \p Jobs enables -j/--jobs; pass null for serial tools.
-  explicit OptionsParser(Options &Opts, unsigned *Jobs = nullptr)
-      : Opts(Opts), Jobs(Jobs) {}
+  /// \p Jobs enables -j/--jobs and \p Obs the observability flags; pass
+  /// null to leave them out.
+  explicit OptionsParser(Options &Opts, unsigned *Jobs = nullptr,
+                         Observability *Obs = nullptr)
+      : Opts(Opts), Jobs(Jobs), Obs(Obs) {}
 
   /// Offers argv[\p I] to the parser; consuming a flag's value advances
   /// \p I. On Error the diagnostic is already on stderr — return 2.
@@ -65,6 +91,7 @@ public:
 private:
   Options &Opts;
   unsigned *Jobs;
+  Observability *Obs;
 };
 
 } // namespace alive::refine::cli

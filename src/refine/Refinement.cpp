@@ -20,6 +20,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <optional>
 
@@ -96,6 +97,18 @@ std::string renderCounterexample(const Model &M, const Function &SrcF) {
   return Out;
 }
 
+/// What one staged query found, solved or replayed from the query cache.
+struct QueryAnswer {
+  QueryResult Result = QueryResult::Unknown;
+  /// The cacheable form of a decided answer: Unsat, or Sat / SatApprox
+  /// with the rendered counterexample or diagnostic.
+  support::CachedQuery Cached;
+  /// Why an Unknown answer stopped.
+  Reason Why = Reason::None;
+  /// CEGIS rounds (0 for the plain step-1 check).
+  unsigned EFIterations = 0;
+};
+
 /// One verification task: everything shared by the staged queries.
 class RefinementCheck {
 public:
@@ -120,7 +133,6 @@ private:
   std::vector<Expr> OuterBase;
   Expr PhiBase = mkTrue();
   std::vector<EFQuery::Seed> Seeds;
-  unsigned Queries = 0;
   /// One record per query run so far; moved into the Verdict.
   std::vector<QueryStats> QStats;
 
@@ -135,51 +147,110 @@ private:
     // A single attempt is its own cumulative cost; the Validator's retry
     // ladder overwrites this with the whole-ladder sum.
     V.CumulativeSeconds = V.Seconds;
-    V.QueriesRun = Queries;
+    V.QueriesRun = (unsigned)QStats.size();
     V.Queries = std::move(QStats);
     return V;
   }
 
-  /// Appends one per-query cost record and mirrors it as a "query" trace
-  /// event. Called exactly once per ++Queries so QueriesRun, the Queries
-  /// vector and the trace stay in lockstep.
-  void recordQuery(QueryStats QS) {
-    if (trace::enabled())
-      trace::Event("query")
-          .str("check", QS.Check)
-          .str("result", toString(QS.Result))
-          .num("seconds", QS.Seconds)
-          .num("solver_seconds", QS.SolverSeconds)
-          .num("sat_checks", QS.SatChecks)
-          .num("ef_iterations", QS.EFIterations)
-          .num("conflicts", QS.Conflicts)
-          .num("decisions", QS.Decisions)
-          .num("propagations", QS.Propagations)
-          .num("clauses", QS.Clauses)
-          .flag("cached", QS.CacheHit);
-    stats::addSample("time.query", QS.Seconds);
-    QStats.push_back(std::move(QS));
-  }
+  /// The one staged-query routine: owns the staged_query span, the
+  /// refine.queries counter, the query-cache lookup and fill, the
+  /// remaining-budget check and the QueryStats / "query" record. The query
+  /// kinds differ only in \p Fingerprint (its cache key) and \p Solve.
+  QueryAnswer
+  stagedQuery(const std::string &Check,
+              const std::function<support::Fingerprint()> &Fingerprint,
+              const std::function<QueryAnswer(const SolverBudget &)> &Solve);
 
   /// Runs one EF query; classifies its result. \returns empty optional when
   /// refinement holds for this check.
   std::optional<Verdict> runQuery(const std::string &CheckName,
                                   std::vector<Expr> ExtraOuter, Expr ExtraPhi);
-
 };
+
+QueryResult toQueryResult(SatResult R) {
+  return R == SatResult::Unsat ? QueryResult::Unsat
+         : R == SatResult::Sat ? QueryResult::Sat
+                               : QueryResult::Unknown;
+}
+
+QueryAnswer RefinementCheck::stagedQuery(
+    const std::string &Check,
+    const std::function<support::Fingerprint()> &Fingerprint,
+    const std::function<QueryAnswer(const SolverBudget &)> &Solve) {
+  prof::Span ProfSpan("staged_query", Check);
+  prof::Effort Effort;
+  ALIVE_STAT_COUNTER(QueryCount, "refine.queries");
+  QueryCount.inc();
+  Stopwatch QTimer;
+  if (debugEnabled())
+    fprintf(stderr, "[refine] query: %s\n", Check.c_str());
+
+  // Query-level cache: the query is fully assembled, so its canonical
+  // fingerprint is available before any solver work. A hit skips the
+  // solver entirely; sat-side hits replay the rendered counterexample
+  // (plain text — models never cross the cache).
+  QueryAnswer A;
+  bool CacheHit = false;
+  support::Fingerprint Fp;
+  if (QC) {
+    prof::Span FpSpan("cache_lookup", Check);
+    Fp = Fingerprint();
+    CacheHit = QC->findQuery(Fp, A.Cached);
+    if (CacheHit)
+      A.Result = A.Cached.Result == support::CachedQueryResult::Unsat
+                     ? QueryResult::Unsat
+                     : QueryResult::Sat;
+  }
+  if (!CacheHit) {
+    SolverBudget B = Opts.Budget;
+    B.TimeoutSec -= Timer.seconds();
+    if (B.TimeoutSec <= 0) {
+      A.Result = QueryResult::BudgetExhausted;
+    } else {
+      A = Solve(B);
+      // Unknowns are budget artifacts, never cached: a rerun (or a bigger
+      // budget) may decide them.
+      if (QC && A.Result != QueryResult::Unknown)
+        QC->putQuery(Fp, A.Cached);
+    }
+  }
+
+  // One record and one "query" event per query, so QueriesRun, the Queries
+  // vector and the trace stay in lockstep. A hit or a skipped query ran no
+  // solver, so its effort reads zero.
+  prof::Tally D = Effort.delta();
+  const QueryStats &QS = QStats.emplace_back(QueryStats{
+      .Check = Check,
+      .Result = A.Result,
+      .Seconds = QTimer.seconds(),
+      .SolverSeconds = D.SolveSeconds,
+      .SatChecks = (unsigned)D.SatChecks,
+      .EFIterations = A.EFIterations,
+      .Conflicts = D.Conflicts,
+      .Decisions = D.Decisions,
+      .Propagations = D.Propagations,
+      .Clauses = D.ClausesPeak,
+      .CacheHit = CacheHit});
+  if (trace::enabled())
+    trace::Event("query")
+        .str("check", QS.Check)
+        .str("result", toString(QS.Result))
+        .num("seconds", QS.Seconds)
+        .num("solver_seconds", QS.SolverSeconds)
+        .num("sat_checks", QS.SatChecks)
+        .num("ef_iterations", QS.EFIterations)
+        .num("conflicts", QS.Conflicts)
+        .num("decisions", QS.Decisions)
+        .num("propagations", QS.Propagations)
+        .num("clauses", QS.Clauses)
+        .flag("cached", QS.CacheHit);
+  stats::addSample("time.query", QS.Seconds);
+  return A;
+}
 
 std::optional<Verdict>
 RefinementCheck::runQuery(const std::string &CheckName,
                           std::vector<Expr> ExtraOuter, Expr ExtraPhi) {
-  prof::Span ProfSpan("staged_query", CheckName);
-  ++Queries;
-  ALIVE_STAT_COUNTER(QueryCount, "refine.queries");
-  QueryCount.inc();
-  Stopwatch QTimer;
-  QueryStats QS;
-  QS.Check = CheckName;
-  if (debugEnabled())
-    fprintf(stderr, "[refine] query: %s\n", CheckName.c_str());
   EFQuery Q;
   Q.Outer = OuterBase;
   for (Expr E : ExtraOuter)
@@ -197,90 +268,47 @@ RefinementCheck::runQuery(const std::string &CheckName,
   for (const auto &N : Tgt.ApproxFnNames)
     Q.AvoidAppPrefixes.push_back(N);
 
-  // Query-level cache: the staged query is fully assembled, so its
-  // canonical fingerprint is available before any solver work. A hit skips
-  // the exists-forall search entirely; sat-side hits replay the rendered
-  // counterexample (plain text — models never cross the cache).
-  support::Fingerprint QueryFp;
-  if (QC) {
-    prof::Span FpSpan("cache_lookup", CheckName);
-    QueryFp = fingerprintQuery(Q);
-    support::CachedQuery Hit;
-    if (QC->findQuery(QueryFp, Hit)) {
-      QS.Result = Hit.Result == support::CachedQueryResult::Unsat
-                      ? QueryResult::Unsat
-                      : QueryResult::Sat;
-      QS.Seconds = QTimer.seconds();
-      QS.CacheHit = true;
-      recordQuery(std::move(QS));
-      switch (Hit.Result) {
-      case support::CachedQueryResult::Unsat:
-        return std::nullopt; // this check passes
-      case support::CachedQueryResult::SatApprox:
-        return verdict(VerdictKind::Unsupported, CheckName, Hit.Detail);
-      case support::CachedQueryResult::Sat:
-        return verdict(VerdictKind::Incorrect, CheckName, Hit.Detail);
-      }
-    }
-  }
-
-  SolverBudget B = Opts.Budget;
-  double Remaining = B.TimeoutSec - Timer.seconds();
-  if (Remaining <= 0) {
-    QS.Result = QueryResult::BudgetExhausted;
-    QS.Seconds = QTimer.seconds();
-    recordQuery(std::move(QS));
+  QueryAnswer A = stagedQuery(
+      CheckName, [&] { return fingerprintQuery(Q); },
+      [&](const SolverBudget &B) {
+        EFOutcome R = solveExistsForall(Q, B);
+        if (debugEnabled())
+          fprintf(stderr, "[refine] query returned res=%d\n", (int)R.Res);
+        QueryAnswer Out;
+        Out.Result = toQueryResult(R.Res);
+        Out.Why = R.UnknownReason;
+        Out.EFIterations = R.Iterations;
+        // A counterexample's support may include an over-approximated
+        // feature (Section 3.8) even after the engine retried for a clean
+        // one; then we cannot conclude a real bug.
+        if (R.Res == SatResult::Sat && R.ApproxInvolved)
+          Out.Cached = {support::CachedQueryResult::SatApprox,
+                        "counterexample depends on over-approximated "
+                        "feature: " +
+                            R.ApproxApp};
+        else if (R.Res == SatResult::Sat)
+          Out.Cached = {support::CachedQueryResult::Sat,
+                        "counterexample:\n" + renderCounterexample(R.M, SrcF)};
+        return Out;
+      });
+  switch (A.Result) {
+  case QueryResult::Unsat:
+    return std::nullopt; // this check passes
+  case QueryResult::BudgetExhausted:
     return verdict(VerdictKind::Timeout, CheckName, "query budget exhausted",
                    Reason::BudgetExhausted);
-  }
-  B.TimeoutSec = Remaining;
-
-  EFOutcome R = solveExistsForall(Q, B);
-  if (debugEnabled())
-    fprintf(stderr, "[refine] query returned res=%d\n", (int)R.Res);
-  QS.Result = R.Res == SatResult::Unsat ? QueryResult::Unsat
-              : R.Res == SatResult::Sat ? QueryResult::Sat
-                                        : QueryResult::Unknown;
-  QS.Seconds = QTimer.seconds();
-  QS.SolverSeconds = R.Cost.Seconds;
-  QS.SatChecks = R.Cost.Checks;
-  QS.EFIterations = R.Iterations;
-  QS.Conflicts = R.Cost.Conflicts;
-  QS.Decisions = R.Cost.Decisions;
-  QS.Propagations = R.Cost.Propagations;
-  QS.Clauses = R.Cost.Clauses;
-  recordQuery(std::move(QS));
-  switch (R.Res) {
-  case SatResult::Unsat:
-    if (QC)
-      QC->putQuery(QueryFp, {support::CachedQueryResult::Unsat, ""});
-    return std::nullopt; // this check passes
-  case SatResult::Unknown:
-    // Unknowns are budget artifacts, never cached: a rerun (or a bigger
-    // budget) may decide them. The detail is the reason's spelling, so the
-    // verdict text is unchanged from the stringly-typed days.
-    if (R.UnknownReason == Reason::Memory)
-      return verdict(VerdictKind::OutOfMemory, CheckName,
-                     toString(R.UnknownReason), R.UnknownReason);
-    return verdict(VerdictKind::Timeout, CheckName, toString(R.UnknownReason),
-                   R.UnknownReason);
-  case SatResult::Sat:
+  case QueryResult::Unknown:
+    // The detail is the reason's spelling.
+    return verdict(A.Why == Reason::Memory ? VerdictKind::OutOfMemory
+                                           : VerdictKind::Timeout,
+                   CheckName, toString(A.Why), A.Why);
+  case QueryResult::Sat:
     break;
   }
-  // Counterexample found. The engine already retried for a model whose
-  // support avoids over-approximated features (Section 3.8); a tainted
-  // model means we cannot conclude a real bug.
-  if (R.ApproxInvolved) {
-    std::string Detail =
-        "counterexample depends on over-approximated feature: " + R.ApproxApp;
-    if (QC)
-      QC->putQuery(QueryFp, {support::CachedQueryResult::SatApprox, Detail});
-    return verdict(VerdictKind::Unsupported, CheckName, std::move(Detail));
-  }
-  std::string Detail = "counterexample:\n" + renderCounterexample(R.M, SrcF);
-  if (QC)
-    QC->putQuery(QueryFp, {support::CachedQueryResult::Sat, Detail});
-  return verdict(VerdictKind::Incorrect, CheckName, std::move(Detail));
+  return verdict(A.Cached.Result == support::CachedQueryResult::SatApprox
+                     ? VerdictKind::Unsupported
+                     : VerdictKind::Incorrect,
+                 CheckName, A.Cached.Detail);
 }
 
 Verdict RefinementCheck::run() {
@@ -395,65 +423,27 @@ Verdict RefinementCheck::run() {
   if (SrcI.NondetOrder.size() != Tgt.NondetOrder.size())
     Seeds.push_back(makeSeed(Tgt, "tgt", true));
 
-  // Step 1: the preconditions must not be vacuously false.
-  {
-    prof::Span ProfSpan("staged_query", "precondition");
-    if (debugEnabled())
-      fprintf(stderr, "[refine] step1 precondition check\n");
-    ++Queries;
-    ALIVE_STAT_COUNTER(QueryCount, "refine.queries");
-    QueryCount.inc();
-    Stopwatch QTimer;
-    QueryStats QS;
-    QS.Check = "precondition";
-
-    // The precondition query is a plain conjunction, so its cache key is
-    // the order-independent conjunction fingerprint.
-    support::Fingerprint PreFp;
-    bool Hit = false, HitSat = false;
-    if (QC) {
-      prof::Span FpSpan("cache_lookup", "precondition");
-      PreFp = fingerprintConjunction(OuterBase);
-      support::CachedQuery CQ;
-      if (QC->findQuery(PreFp, CQ)) {
-        Hit = true;
-        HitSat = CQ.Result != support::CachedQueryResult::Unsat;
-      }
-    }
-    if (Hit) {
-      QS.Result = HitSat ? QueryResult::Sat : QueryResult::Unsat;
-      QS.Seconds = QTimer.seconds();
-      QS.CacheHit = true;
-      recordQuery(std::move(QS));
-      if (!HitSat)
-        return verdict(VerdictKind::PreconditionFalse, "precondition",
-                       "the combined preconditions are unsatisfiable");
-    } else {
-      Solver S;
-      for (Expr E : OuterBase)
-        S.add(E);
-      SolverBudget B = Opts.Budget;
-      SolveOutcome R = S.check(B);
-      QS.Result = R.isUnsat() ? QueryResult::Unsat
-                  : R.isSat() ? QueryResult::Sat
-                              : QueryResult::Unknown;
-      QS.Seconds = QTimer.seconds();
-      QS.SolverSeconds = R.Stats.Seconds;
-      QS.SatChecks = R.Stats.Checks;
-      QS.Conflicts = R.Stats.Conflicts;
-      QS.Decisions = R.Stats.Decisions;
-      QS.Propagations = R.Stats.Propagations;
-      QS.Clauses = R.Stats.Clauses;
-      recordQuery(std::move(QS));
-      if (QC && !R.isUnknown())
-        QC->putQuery(PreFp, {R.isUnsat() ? support::CachedQueryResult::Unsat
-                                         : support::CachedQueryResult::Sat,
-                             ""});
-      if (R.isUnsat())
-        return verdict(VerdictKind::PreconditionFalse, "precondition",
-                       "the combined preconditions are unsatisfiable");
-    }
-  }
+  // Step 1: the preconditions must not be vacuously false. The query is a
+  // plain conjunction, so its cache key is the order-independent
+  // conjunction fingerprint. An undecided precondition is no verdict: the
+  // refinement checks below still run.
+  QueryAnswer Pre = stagedQuery(
+      "precondition", [&] { return fingerprintConjunction(OuterBase); },
+      [&](const SolverBudget &B) {
+        Solver S;
+        for (Expr E : OuterBase)
+          S.add(E);
+        SolveOutcome R = S.check(B);
+        QueryAnswer Out;
+        Out.Result = toQueryResult(R.Res);
+        Out.Why = R.UnknownReason;
+        if (R.isSat())
+          Out.Cached.Result = support::CachedQueryResult::Sat;
+        return Out;
+      });
+  if (Pre.Result == QueryResult::Unsat)
+    return verdict(VerdictKind::PreconditionFalse, "precondition",
+                   "the combined preconditions are unsatisfiable");
 
   // Step 2: the target triggers UB only when the source does.
   if (auto V = runQuery("target is more undefined than source", {Tgt.UB},
@@ -584,24 +574,11 @@ Verdict RefinementCheck::run() {
 
 Verdict refine::detail::checkPair(const Function &Src, const Function &Tgt,
                                   const Module *M, const Options &Opts,
-                                  support::QueryCache *QC, unsigned Rung) {
+                                  support::QueryCache *QC) {
   ALIVE_STAT_COUNTER(Pairs, "refine.pairs");
   Pairs.inc();
   prof::Span ProfSpan("verify_pair", Src.name());
   ALIVE_STAT_SAMPLER(VerifyTime, "time.verify");
   stats::ScopedTimer Timer(VerifyTime);
-  RefinementCheck C(Src, Tgt, M, Opts, QC);
-  Verdict V = C.run();
-  V.Rung = Rung;
-  if (trace::enabled())
-    trace::Event("verdict")
-        .str("function", Src.name())
-        .str("kind", V.kindName())
-        .str("failed_check", V.FailedCheck)
-        .str("reason", toString(V.Why))
-        .num("seconds", V.Seconds)
-        .num("queries_run", V.QueriesRun)
-        .num("rung", V.Rung)
-        .flag("cached", false);
-  return V;
+  return RefinementCheck(Src, Tgt, M, Opts, QC).run();
 }

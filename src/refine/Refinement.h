@@ -210,18 +210,16 @@ struct Verdict {
 namespace detail {
 /// Implementation entry behind Validator::verifyPair: runs the staged
 /// checks for one pair under \p Opts, including the per-pair registry
-/// samples and the "verdict" trace event. Does not validate \p Opts and
-/// does not install a cancellation flag — that is the Validator's job.
-/// \p QC, when non-null, is consulted before and filled after every staged
-/// query (the query level of the result cache); the pair level lives in
-/// the Validator. \p Rung labels the retry-ladder attempt for the verdict
-/// and its trace event (0 = base attempt; the Validator passes escalated
-/// rungs). The free verifyRefinement/verifyModules wrappers that used to
-/// live here are gone — refine::Validator (Validator.h) is the one entry
-/// point.
+/// samples. Does not validate \p Opts, does not install a cancellation
+/// flag and does not emit the "verdict" trace event — that is the
+/// Validator's job. \p QC, when non-null, is consulted before and filled
+/// after every staged query (the query level of the result cache); the
+/// pair level lives in the Validator. The free verifyRefinement/
+/// verifyModules wrappers that used to live here are gone —
+/// refine::Validator (Validator.h) is the one entry point.
 Verdict checkPair(const ir::Function &Src, const ir::Function &Tgt,
                   const ir::Module *M, const Options &Opts,
-                  support::QueryCache *QC = nullptr, unsigned Rung = 0);
+                  support::QueryCache *QC = nullptr);
 } // namespace detail
 
 } // namespace alive::refine

@@ -180,6 +180,24 @@ void Validator::finalizeVerdict(Verdict &V, unsigned Rung) const {
 Verdict Validator::attemptPair(const ir::Function &Src,
                                const ir::Function &Tgt, const ir::Module *M,
                                unsigned Rung) {
+  Verdict V = runAttempt(Src, Tgt, M, Rung);
+  V.Rung = Rung;
+  if (trace::enabled())
+    trace::Event("verdict")
+        .str("function", Src.name())
+        .str("kind", V.kindName())
+        .str("failed_check", V.FailedCheck)
+        .str("reason", toString(V.Why))
+        .num("seconds", V.Seconds)
+        .num("queries_run", V.QueriesRun)
+        .num("rung", V.Rung)
+        .flag("cached", V.Cached);
+  return V;
+}
+
+Verdict Validator::runAttempt(const ir::Function &Src,
+                              const ir::Function &Tgt, const ir::Module *M,
+                              unsigned Rung) {
   if (Gov && Gov->deadlineExpired()) {
     ALIVE_STAT_COUNTER(Skipped, "deadline.skipped");
     Skipped.inc();
@@ -188,16 +206,6 @@ Verdict Validator::attemptPair(const ir::Function &Src,
     V.Why = Reason::DeadlineSkipped;
     V.FailedCheck = "deadline";
     V.Detail = "batch deadline exceeded before dispatch";
-    V.Rung = Rung;
-    if (trace::enabled())
-      trace::Event("verdict")
-          .str("function", Src.name())
-          .str("kind", V.kindName())
-          .str("failed_check", V.FailedCheck)
-          .str("reason", toString(V.Why))
-          .num("rung", V.Rung)
-          .num("seconds", V.Seconds)
-          .num("queries_run", V.QueriesRun);
     return V;
   }
   if (Cancel.isCancelled()) {
@@ -206,7 +214,6 @@ Verdict Validator::attemptPair(const ir::Function &Src,
     V.Why = Reason::Cancelled;
     V.FailedCheck = toString(Reason::Cancelled);
     V.Detail = "cancelled before verification started";
-    V.Rung = Rung;
     return V;
   }
 
@@ -247,25 +254,14 @@ Verdict Validator::attemptPair(const ir::Function &Src,
       V.QueriesRun = CV.QueriesRun;
       V.Cached = true;
       V.Why = Reason::Cached;
-      V.Rung = Rung;
       V.Seconds = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - Start)
                       .count();
-      if (trace::enabled())
-        trace::Event("verdict")
-            .str("function", Src.name())
-            .str("kind", V.kindName())
-            .str("failed_check", V.FailedCheck)
-            .str("reason", toString(V.Why))
-            .num("rung", V.Rung)
-            .num("seconds", V.Seconds)
-            .num("queries_run", V.QueriesRun)
-            .flag("cached", true);
       return V;
     }
   }
 
-  Verdict V = detail::checkPair(Src, Tgt, M, O, QC, Rung);
+  Verdict V = detail::checkPair(Src, Tgt, M, O, QC);
 
   // A governor trip surfaces from the solver as a cancelled Timeout; the
   // job records who pulled the trigger, so rewrite the verdict honestly.
@@ -314,7 +310,6 @@ Verdict Validator::verifyPair(const ir::Function &Src, const ir::Function &Tgt,
   for (unsigned Rung = 0;; ++Rung) {
     Verdict V = attemptPair(Src, Tgt, M, Rung);
     Cum += V.Seconds;
-    V.Rung = Rung;
     V.CumulativeSeconds = Cum;
     if (shouldRetry(V, Rung)) {
       ALIVE_STAT_COUNTER(Requeued, "retry.requeued");
@@ -343,7 +338,6 @@ bool Validator::attemptTask(const PairTask &T, unsigned Index, unsigned Rung,
     V = attemptPair(*T.Src, *T.Tgt, T.M, Rung);
   }
   Cum += V.Seconds;
-  V.Rung = Rung;
   V.CumulativeSeconds = Cum;
   if (shouldRetry(V, Rung)) {
     ALIVE_STAT_COUNTER(Requeued, "retry.requeued");

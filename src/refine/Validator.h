@@ -169,11 +169,15 @@ public:
 
 private:
   void emit(const PairResult &R);
-  /// One ladder attempt on the current thread: deadline/cancel gates, the
-  /// rung-scaled budget, governor job registration, pair cache, checkPair,
-  /// and the governor-trip verdict rewrite.
+  /// One ladder attempt on the current thread (runAttempt), then the
+  /// attempt's one "verdict" trace event, whichever way it ended.
   Verdict attemptPair(const ir::Function &Src, const ir::Function &Tgt,
                       const ir::Module *M, unsigned Rung);
+  /// Deadline/cancel gates, the rung-scaled budget, governor job
+  /// registration, pair cache, checkPair, and the governor-trip verdict
+  /// rewrite.
+  Verdict runAttempt(const ir::Function &Src, const ir::Function &Tgt,
+                     const ir::Module *M, unsigned Rung);
   /// Whether \p V at \p Rung warrants an escalated retry.
   bool shouldRetry(const Verdict &V, unsigned Rung) const;
   /// Stamps ladder-exit bookkeeping (RetriesExhausted, retry counters) on a

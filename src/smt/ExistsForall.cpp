@@ -341,6 +341,7 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
   // Constructed before the TraceEmitter so the "ef_query" trace event
   // (emitted in the Emitter's destructor) still carries this span's id.
   prof::Span ProfSpan("ef_search");
+  prof::Effort Effort;
   Stopwatch Timer;
   ALIVE_STAT_COUNTER(Queries, "ef.queries");
   Queries.inc();
@@ -349,26 +350,25 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
   struct TraceEmitter {
     EFOutcome &Out;
     Stopwatch &Timer;
+    prof::Effort &Effort;
     ~TraceEmitter() {
       stats::addSample("time.ef_query", Timer.seconds());
       if (!trace::enabled())
         return;
-      const char *Result = Out.Res == SatResult::Sat     ? "sat"
-                           : Out.Res == SatResult::Unsat ? "unsat"
-                                                         : "unknown";
+      prof::Tally D = Effort.delta();
       trace::Event("ef_query")
-          .str("result", Result)
+          .str("result", toString(Out.Res))
           .num("iterations", Out.Iterations)
           .num("seconds", Timer.seconds())
-          .num("solver_seconds", Out.Cost.Seconds)
-          .num("sat_checks", Out.Cost.Checks)
-          .num("conflicts", Out.Cost.Conflicts)
-          .num("decisions", Out.Cost.Decisions)
-          .num("propagations", Out.Cost.Propagations)
-          .num("clauses", Out.Cost.Clauses)
+          .num("solver_seconds", D.SolveSeconds)
+          .num("sat_checks", D.SatChecks)
+          .num("conflicts", D.Conflicts)
+          .num("decisions", D.Decisions)
+          .num("propagations", D.Propagations)
+          .num("clauses", D.ClausesPeak)
           .flag("approx_involved", Out.ApproxInvolved);
     }
-  } Emitter{Out, Timer};
+  } Emitter{Out, Timer, Effort};
 
   std::vector<Expr> Outer = Query.Outer;
   Expr Phi = Query.Inner;
@@ -486,7 +486,6 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
       if (debugEnabled())
         fprintf(stderr, "[ef] iter=%u outer check...\n", Out.Iterations);
       SolveOutcome OuterRes = OuterSolver.check(SubBudget);
-      Out.Cost.add(OuterRes.Stats);
       if (debugEnabled())
         fprintf(stderr, "[ef] iter=%u outer done res=%d\n", Out.Iterations,
                 (int)OuterRes.Res);
@@ -526,7 +525,6 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
           fprintf(stderr, "[ef] iter=%u inner check dag=%zu...\n",
                   Out.Iterations, dagSize(PhiInst));
         SolveOutcome InnerRes = checkSat(PhiInst, SubBudget);
-        Out.Cost.add(InnerRes.Stats);
         if (InnerRes.isUnknown()) {
           Out.Res = SatResult::Unknown;
           Out.UnknownReason = InnerRes.UnknownReason;

@@ -369,12 +369,15 @@ SatStatus SatSolver::solve(const SatLimits &Limits) {
   // Span first, flusher second: the flusher's destructor runs before the
   // span's, so the span observes this solve's per-thread tally deltas.
   prof::Span ProfSpan("sat_solve");
-  // Flush this solve's effort deltas into the global registry on every exit
-  // path. The search loop itself only touches plain members.
+  // Flush this solve's effort deltas into the global registry and the
+  // per-thread tally on every exit path. This is the only place CDCL
+  // counters become effort; the search loop itself only touches plain
+  // members.
   struct StatFlusher {
     SatSolver &S;
     uint64_t C0 = S.Conflicts, D0 = S.Decisions, P0 = S.Propagations;
     uint64_t R0 = S.Restarts, L0 = S.LearnedClauses, Red0 = S.DbReductions;
+    Stopwatch Timer{};
     ~StatFlusher() {
       // One static aggregate = one thread-safe-static guard per solve
       // instead of seven.
@@ -402,7 +405,10 @@ SatStatus SatSolver::solve(const SatLimits &Limits) {
       T.Conflicts += S.Conflicts - C0;
       T.Decisions += S.Decisions - D0;
       T.Propagations += S.Propagations - P0;
+      T.Restarts += S.Restarts - R0;
       ++T.SatChecks;
+      T.SolveSeconds += Timer.seconds();
+      T.ClausesPeak = std::max<uint64_t>(T.ClausesPeak, S.numClauses());
     }
   } Flusher{*this};
 

@@ -87,12 +87,7 @@ public:
   /// ConflictBudget).
   Reason unknownReason() const { return UnknownReason; }
 
-  uint64_t numConflicts() const { return Conflicts; }
-  uint64_t numDecisions() const { return Decisions; }
-  uint64_t numPropagations() const { return Propagations; }
-  uint64_t numRestarts() const { return Restarts; }
-  uint64_t numLearnedClauses() const { return LearnedClauses; }
-  uint64_t numDbReductions() const { return DbReductions; }
+  /// Live (non-deleted) clauses, learned ones included.
   size_t numClauses() const;
 
 private:

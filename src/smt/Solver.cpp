@@ -40,7 +40,9 @@ Expr Solver::ackermannize(Expr E) {
       VarMap[AppId] = AckCache[AppId];
       continue;
     }
-    const Node &N = ExprCtx::get().node(AppId);
+    // A copy: rewriteApps, mkFreshVar and mkEq below grow the node table,
+    // which would leave a reference into it dangling.
+    const Node N = ExprCtx::get().node(AppId);
     // Rewrite the arguments first (they may contain earlier apps). We route
     // through substitution on a reconstructed expression of each argument.
     std::vector<Expr> Args;
@@ -114,26 +116,29 @@ SolveOutcome Solver::check(const SolverBudget &Budget) {
   // Child sat_solve spans cover the CDCL core; this span's self time is
   // model extraction plus telemetry flushing.
   prof::Span ProfSpan("sat_check");
+  prof::Effort Effort;
   ALIVE_STAT_COUNTER(Checks, "solver.checks");
   Checks.inc();
   flushBlastStats();
 
   SolveOutcome Out;
   auto finish = [&]() {
-    if (Out.Stats.Checks) {
+    // No SatSolver::solve ran when the check was decided up front.
+    prof::Tally D = Effort.delta();
+    if (D.SatChecks) {
       ALIVE_STAT_SAMPLER(CheckTime, "time.sat_check");
-      CheckTime.record(Out.Stats.Seconds);
+      CheckTime.record(D.SolveSeconds);
     }
     if (trace::enabled())
       trace::Event("sat_check")
           .str("result", toString(Out.Res))
-          .num("seconds", Out.Stats.Seconds)
-          .num("conflicts", Out.Stats.Conflicts)
-          .num("decisions", Out.Stats.Decisions)
-          .num("propagations", Out.Stats.Propagations)
-          .num("restarts", Out.Stats.Restarts)
-          .num("clauses", Out.Stats.Clauses)
-          .num("vars", Out.Stats.CnfVars);
+          .num("seconds", D.SolveSeconds)
+          .num("conflicts", D.Conflicts)
+          .num("decisions", D.Decisions)
+          .num("propagations", D.Propagations)
+          .num("restarts", D.Restarts)
+          .num("clauses", D.ClausesPeak)
+          .num("vars", D.SatChecks ? Sat->numVars() : 0);
   };
 
   if (TriviallyUnsat) {
@@ -153,20 +158,7 @@ SolveOutcome Solver::check(const SolverBudget &Budget) {
   Limits.MaxConflicts = Budget.MaxConflicts;
   Limits.Cancel = Budget.Cancel;
 
-  uint64_t C0 = Sat->numConflicts(), D0 = Sat->numDecisions();
-  uint64_t P0 = Sat->numPropagations(), R0 = Sat->numRestarts();
-  Stopwatch Timer;
-  SatStatus St = Sat->solve(Limits);
-  Out.Stats.Seconds = Timer.seconds();
-  Out.Stats.Checks = 1;
-  Out.Stats.Conflicts = Sat->numConflicts() - C0;
-  Out.Stats.Decisions = Sat->numDecisions() - D0;
-  Out.Stats.Propagations = Sat->numPropagations() - P0;
-  Out.Stats.Restarts = Sat->numRestarts() - R0;
-  Out.Stats.Clauses = Sat->numClauses();
-  Out.Stats.CnfVars = (size_t)Sat->numVars();
-
-  switch (St) {
+  switch (Sat->solve(Limits)) {
   case SatStatus::Unsat:
     Out.Res = SatResult::Unsat;
     finish();

@@ -126,6 +126,27 @@ Tally &prof::tally() {
   return T;
 }
 
+Effort::Effort() : At0(tally()) { tally().ClausesPeak = 0; }
+
+Effort::~Effort() {
+  Tally &T = tally();
+  T.ClausesPeak = std::max(T.ClausesPeak, At0.ClausesPeak);
+}
+
+Tally Effort::delta() const {
+  const Tally &T = tally();
+  Tally D;
+  D.Conflicts = T.Conflicts - At0.Conflicts;
+  D.Decisions = T.Decisions - At0.Decisions;
+  D.Propagations = T.Propagations - At0.Propagations;
+  D.Restarts = T.Restarts - At0.Restarts;
+  D.Rewrites = T.Rewrites - At0.Rewrites;
+  D.SatChecks = T.SatChecks - At0.SatChecks;
+  D.SolveSeconds = T.SolveSeconds - At0.SolveSeconds;
+  D.ClausesPeak = T.ClausesPeak; // the peak since this scope zeroed it
+  return D;
+}
+
 Span::Span(const char *Name, std::string_view Detail)
     : On(Enabled.load(std::memory_order_acquire)), Name(Name) {
   if (!On)

@@ -68,16 +68,45 @@ void clear();
 unsigned threadId();
 
 /// Per-thread running totals of solver effort, bumped unconditionally by
-/// the instrumented layers (SatSolver::solve, Simplify's fold). Spans
-/// snapshot this at both ends; the difference is the span's attribution.
+/// the instrumented layers (SatSolver::solve, Simplify's fold). This is the
+/// only record of solver effort: spans, Effort scopes and everything built
+/// on them (the sat_check / ef_query / query trace events, QueryStats) read
+/// "tally after - tally before", never the solver's own counters.
 struct Tally {
   uint64_t Conflicts = 0;
   uint64_t Decisions = 0;
   uint64_t Propagations = 0;
+  uint64_t Restarts = 0;
   uint64_t Rewrites = 0;
   uint64_t SatChecks = 0;
+  /// Wall time inside SatSolver::solve.
+  double SolveSeconds = 0;
+  /// Largest clause database a solve has ended with since the innermost
+  /// open Effort scope began. Not additive: Effort saves, zeroes and
+  /// restores it.
+  uint64_t ClausesPeak = 0;
 };
 Tally &tally();
+
+/// Solver effort over one scope (a SAT check, an exists-forall query, a
+/// staged query): delta() is the tally difference since construction, with
+/// ClausesPeak the peak reached inside the scope. Construction saves and
+/// zeroes the thread's peak; destruction restores the larger of the saved
+/// and the inner peak, so enclosing scopes still see it. Scopes must nest
+/// and stay on one thread (a pair never migrates between threads).
+class Effort {
+public:
+  Effort();
+  ~Effort();
+
+  Effort(const Effort &) = delete;
+  Effort &operator=(const Effort &) = delete;
+
+  Tally delta() const;
+
+private:
+  Tally At0;
+};
 
 /// One completed span.
 struct SpanRecord {

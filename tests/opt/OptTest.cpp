@@ -236,6 +236,10 @@ struct BuggyCase {
   const char *TriggerIR;
 };
 
+// Without this, gtest prints the two pointers' raw bytes into each listed
+// test name, and address randomisation changes them on every run.
+void PrintTo(const BuggyCase &C, std::ostream *OS) { *OS << C.PassName; }
+
 class BuggyPassTest : public ::testing::TestWithParam<BuggyCase> {};
 
 TEST_P(BuggyPassTest, FiresAndFailsValidation) {

@@ -13,10 +13,12 @@
 #include "refine/Fingerprint.h"
 #include "refine/Validator.h"
 #include "support/QueryCache.h"
+#include "support/Trace.h"
 
 #include "gtest/gtest.h"
 
 #include <filesystem>
+#include <sstream>
 
 using namespace alive;
 using namespace alive::refine;
@@ -170,17 +172,39 @@ TEST(Cache, QueryLevelAloneSkipsSolverNotStages) {
   O.Cache.PairLevel = false; // query level only
   Validator V(O);
   auto Cold = V.verifyModules(*SrcM, *TgtM, /*Jobs=*/1);
+  std::ostringstream Sink;
+  trace::setStream(&Sink);
   auto Warm = V.verifyModules(*SrcM, *TgtM, /*Jobs=*/1);
+  trace::setStream(nullptr);
   ASSERT_EQ(Warm.size(), Cold.size());
+
+  // Hits go through the same staged-query record as solved queries: one
+  // record and one "query" event per query, precondition included.
+  size_t QueryEvents = 0;
+  std::istringstream In(Sink.str());
+  for (std::string Line; std::getline(In, Line);)
+    if (Line.rfind("{\"event\":\"query\",", 0) == 0)
+      ++QueryEvents;
+  size_t Records = 0;
   for (size_t I = 0; I < Warm.size(); ++I) {
     // Stages still run (so per-query stats exist), but every query is
     // answered from the cache.
     EXPECT_FALSE(Warm[I].V.Cached);
     ASSERT_EQ(Warm[I].V.Queries.size(), Cold[I].V.Queries.size());
+    EXPECT_EQ(Warm[I].V.QueriesRun, Warm[I].V.Queries.size());
+    Records += Warm[I].V.Queries.size();
     expectSameVerdict(Cold[I].V, Warm[I].V, "query-level warm");
+    ASSERT_FALSE(Warm[I].V.Queries.empty());
+    EXPECT_EQ(Warm[I].V.Queries[0].Check, "precondition");
     for (const QueryStats &Q : Warm[I].V.Queries) {
+      // No solver ran, so the tally difference is zero effort.
       EXPECT_TRUE(Q.CacheHit) << Q.Check;
       EXPECT_EQ(Q.SatChecks, 0u) << Q.Check;
+      EXPECT_EQ(Q.Conflicts, 0u) << Q.Check;
+      EXPECT_EQ(Q.Decisions, 0u) << Q.Check;
+      EXPECT_EQ(Q.Propagations, 0u) << Q.Check;
+      EXPECT_EQ(Q.Clauses, 0u) << Q.Check;
+      EXPECT_EQ(Q.SolverSeconds, 0.0) << Q.Check;
     }
     // Cold misses, except that later pairs may legitimately share a query
     // with an earlier pair — here both functions have the same trivially
@@ -190,6 +214,7 @@ TEST(Cache, QueryLevelAloneSkipsSolverNotStages) {
       EXPECT_TRUE(MayShare || !Q.CacheHit) << Q.Check;
     }
   }
+  EXPECT_EQ(QueryEvents, Records);
 }
 
 TEST(Cache, PersistsAcrossValidators) {

@@ -10,6 +10,7 @@
 #include "refine/Refinement.h"
 #include "refine/Validator.h"
 #include "ir/Parser.h"
+#include "support/Profile.h"
 #include "support/Trace.h"
 
 #include "gtest/gtest.h"
@@ -442,11 +443,31 @@ entry:
   ret i8 %y
 }
 )";
+  // Cache off, so every query reaches the solver and the records must add
+  // up to the thread's whole tally difference.
+  Options Opts;
+  Opts.Cache = CachePolicy::disabled();
   std::ostringstream Sink;
   trace::setStream(&Sink);
-  Verdict V = check(F, F);
+  prof::Tally Before = prof::tally();
+  Verdict V = check(F, F, Opts);
+  prof::Tally After = prof::tally();
   trace::setStream(nullptr);
   EXPECT_CORRECT(V);
+
+  // The tally is the only effort record: the per-query records partition
+  // the pair's effort exactly.
+  uint64_t SatChecks = 0, Conflicts = 0, Decisions = 0, Propagations = 0;
+  for (const QueryStats &Q : V.Queries) {
+    SatChecks += Q.SatChecks;
+    Conflicts += Q.Conflicts;
+    Decisions += Q.Decisions;
+    Propagations += Q.Propagations;
+  }
+  EXPECT_EQ(SatChecks, After.SatChecks - Before.SatChecks);
+  EXPECT_EQ(Conflicts, After.Conflicts - Before.Conflicts);
+  EXPECT_EQ(Decisions, After.Decisions - Before.Decisions);
+  EXPECT_EQ(Propagations, After.Propagations - Before.Propagations);
 
   // A verified pair reports one cost record per staged query run.
   ASSERT_FALSE(V.Queries.empty());
@@ -464,21 +485,22 @@ entry:
 
   // The trace mirrors the run: exactly one "query" event per query, and
   // the encode / SAT-check stages are visible too.
-  size_t QueryEvents = 0;
-  bool SawEncode = false, SawSatCheck = false, SawVerdict = false;
+  size_t QueryEvents = 0, VerdictEvents = 0;
+  bool SawEncode = false, SawSatCheck = false;
   std::istringstream In(Sink.str());
   std::string Line;
   while (std::getline(In, Line)) {
     if (Line.rfind("{\"event\":\"query\",", 0) == 0)
       ++QueryEvents;
+    if (Line.rfind("{\"event\":\"verdict\",", 0) == 0)
+      ++VerdictEvents;
     SawEncode |= Line.rfind("{\"event\":\"encode\",", 0) == 0;
     SawSatCheck |= Line.rfind("{\"event\":\"sat_check\",", 0) == 0;
-    SawVerdict |= Line.rfind("{\"event\":\"verdict\",", 0) == 0;
   }
   EXPECT_EQ(QueryEvents, (size_t)V.QueriesRun);
   EXPECT_TRUE(SawEncode);
   EXPECT_TRUE(SawSatCheck);
-  EXPECT_TRUE(SawVerdict);
+  EXPECT_EQ(VerdictEvents, 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -541,9 +563,25 @@ entry:
   Validator V;
   V.requestCancel();
   EXPECT_TRUE(V.cancelRequested());
+  std::ostringstream Sink;
+  trace::setStream(&Sink);
   Verdict R = V.verifyPair(*M->function(0), *M->function(0), M.get());
+  trace::setStream(nullptr);
   EXPECT_EQ(R.Kind, VerdictKind::Timeout);
   EXPECT_EQ(R.FailedCheck, toString(Reason::Cancelled));
+
+  // A pair cancelled before it started still explains itself in the trace:
+  // exactly one verdict event, saying why.
+  std::vector<std::string> Verdicts;
+  std::istringstream In(Sink.str());
+  for (std::string Line; std::getline(In, Line);)
+    if (Line.rfind("{\"event\":\"verdict\",", 0) == 0)
+      Verdicts.push_back(Line);
+  ASSERT_EQ(Verdicts.size(), 1u);
+  EXPECT_NE(Verdicts[0].find("\"reason\":\"cancelled\""), std::string::npos)
+      << Verdicts[0];
+  EXPECT_NE(Verdicts[0].find("\"cached\":false"), std::string::npos)
+      << Verdicts[0];
 
   // The token is sticky until reset; afterwards the pair verifies again.
   V.resetCancel();

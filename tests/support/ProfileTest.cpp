@@ -126,6 +126,35 @@ TEST(Profile, TallyDeltasAttributeToTheOpenSpan) {
   EXPECT_EQ(Outer->SatChecks, 1u);
 }
 
+TEST(Profile, EffortScopesNestAndKeepThePeak) {
+  prof::tally().ClausesPeak = 40;
+  {
+    prof::Effort Outer;
+    EXPECT_EQ(prof::tally().ClausesPeak, 0u);
+    prof::tally().Conflicts += 3;
+    prof::tally().SolveSeconds += 0.5;
+    {
+      prof::Effort Inner;
+      prof::tally().Conflicts += 7;
+      ++prof::tally().SatChecks;
+      prof::tally().ClausesPeak = 12;
+      prof::Tally D = Inner.delta();
+      EXPECT_EQ(D.Conflicts, 7u);
+      EXPECT_EQ(D.SatChecks, 1u);
+      EXPECT_EQ(D.SolveSeconds, 0.0);
+      EXPECT_EQ(D.ClausesPeak, 12u);
+    }
+    // The inner peak survives into the enclosing scope.
+    prof::Tally D = Outer.delta();
+    EXPECT_EQ(D.Conflicts, 10u);
+    EXPECT_EQ(D.SatChecks, 1u);
+    EXPECT_EQ(D.SolveSeconds, 0.5);
+    EXPECT_EQ(D.ClausesPeak, 12u);
+  }
+  // Leaving the outermost scope restores the larger, earlier peak.
+  EXPECT_EQ(prof::tally().ClausesPeak, 40u);
+}
+
 TEST(Profile, CaptureAdoptCrossesThreads) {
   ProfSession P;
   uint64_t BatchId, RemoteId = 0, RemoteParent = ~0ull;

@@ -68,7 +68,9 @@ void usage() {
       "  --no-reduce       keep failing inputs unreduced\n"
       "  --max-candidates N  reducer candidate budget (default 192)\n"
       "  --repro DIR       replay the failure saved in DIR and exit\n",
-      refine::cli::optionsUsage(/*IncludeJobs=*/true).c_str());
+      refine::cli::optionsUsage(/*IncludeJobs=*/true,
+                                /*IncludeObservability=*/true)
+          .c_str());
 }
 
 bool readFile(const std::filesystem::path &Path, std::string &Out) {
@@ -269,10 +271,9 @@ int main(int argc, char **argv) {
   uint64_t Seed = 1;
   unsigned Runs = 16, Mutations = 3, ParserRuns = 0, MaxCandidates = 192;
   unsigned Jobs = 2;
-  bool NoReduce = false, ShowStats = false, ShowProfile = false;
+  bool NoReduce = false;
   const char *ArtifactsDir = "fuzz-artifacts";
   const char *ReproDir = nullptr;
-  const char *TraceOut = nullptr, *ProfileOut = nullptr;
   std::string Buggy;
   std::vector<std::string> Pipeline;
 
@@ -281,7 +282,8 @@ int main(int argc, char **argv) {
   // budget keeps pathological mutants from stalling a whole run. --timeout
   // still overrides.
   Opts.Budget.TimeoutSec = 10;
-  refine::cli::OptionsParser Shared(Opts, &Jobs);
+  refine::cli::Observability Obs;
+  refine::cli::OptionsParser Shared(Opts, &Jobs, &Obs);
 
   for (int I = 1; I < argc; ++I) {
     switch (Shared.consume(argc, argv, I)) {
@@ -357,20 +359,6 @@ int main(int argc, char **argv) {
       ReproDir = V;
     } else if (!std::strcmp(argv[I], "--no-reduce")) {
       NoReduce = true;
-    } else if (!std::strcmp(argv[I], "--stats")) {
-      ShowStats = true;
-    } else if (!std::strcmp(argv[I], "--profile")) {
-      ShowProfile = true;
-    } else if (!std::strcmp(argv[I], "--trace-out")) {
-      const char *V = NeedValue("--trace-out");
-      if (!V)
-        return 2;
-      TraceOut = V;
-    } else if (!std::strcmp(argv[I], "--profile-out")) {
-      const char *V = NeedValue("--profile-out");
-      if (!V)
-        return 2;
-      ProfileOut = V;
     } else {
       std::fprintf(stderr, "unknown option '%s'\n", argv[I]);
       usage();
@@ -384,18 +372,10 @@ int main(int argc, char **argv) {
     return 2;
   }
 
-  if (TraceOut && !trace::openFile(TraceOut)) {
-    std::fprintf(stderr, "error: cannot open trace file '%s'\n", TraceOut);
+  if (!Obs.start())
     return 2;
-  }
-  if (ShowProfile || ProfileOut)
-    prof::start();
-
-  if (ReproDir) {
-    int RC = runRepro(ReproDir, Opts, Jobs);
-    trace::close();
-    return RC;
-  }
+  if (ReproDir)
+    return Obs.finish(runRepro(ReproDir, Opts, Jobs), stderr);
 
   fuzz::Oracle::Config C;
   C.Opts = Opts;
@@ -563,16 +543,5 @@ int main(int argc, char **argv) {
   std::printf("alive-fuzz: %u run(s), %u failure(s)\n", Runs + ParserRuns,
               TotalFailures);
 
-  if (ShowStats)
-    std::fputs(stats::Registry::get().table().c_str(), stderr);
-  if (ShowProfile)
-    std::fputs(prof::table().c_str(), stderr);
-  if (ProfileOut && !prof::writeChromeTrace(ProfileOut)) {
-    std::fprintf(stderr, "error: cannot write profile file '%s'\n",
-                 ProfileOut);
-    trace::close();
-    return 2;
-  }
-  trace::close();
-  return TotalFailures ? 1 : 0;
+  return Obs.finish(TotalFailures ? 1 : 0, stderr);
 }

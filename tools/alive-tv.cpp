@@ -48,18 +48,13 @@ static void usage() {
                "                [--profile] [--profile-out FILE] "
                "[--slow-query-ms N]\n"
                "%s"
-               "  --stats          print the statistics registry after "
-               "verification\n"
                "  --json           emit a machine-readable per-pair summary "
                "on stdout\n"
-               "  --trace-out FILE stream JSONL pipeline events to FILE\n"
-               "  --profile        print the per-phase profile table after "
-               "verification\n"
-               "  --profile-out FILE  write a Chrome trace-event profile "
-               "(Perfetto / chrome://tracing)\n"
                "  --slow-query-ms N   log path + cost of staged queries "
                "slower than N ms to stderr\n",
-               refine::cli::optionsUsage(/*IncludeJobs=*/true).c_str());
+               refine::cli::optionsUsage(/*IncludeJobs=*/true,
+                                         /*IncludeObservability=*/true)
+                   .c_str());
 }
 
 /// Renders one verdict's JSON object (without trailing newline/comma).
@@ -119,12 +114,12 @@ static void printStatsJson() {
 
 int main(int argc, char **argv) {
   const char *SrcPath = nullptr, *TgtPath = nullptr;
-  const char *TraceOut = nullptr, *ProfileOut = nullptr;
-  bool ShowStats = false, Json = false, ShowProfile = false;
+  bool Json = false;
   double SlowQueryMs = -1;
   unsigned Jobs = 1;
   refine::Options Opts;
-  refine::cli::OptionsParser Shared(Opts, &Jobs);
+  refine::cli::Observability Obs;
+  refine::cli::OptionsParser Shared(Opts, &Jobs, &Obs);
   for (int I = 1; I < argc; ++I) {
     switch (Shared.consume(argc, argv, I)) {
     case refine::cli::Parsed::Error:
@@ -134,16 +129,8 @@ int main(int argc, char **argv) {
     case refine::cli::Parsed::NotMine:
       break;
     }
-    if (!std::strcmp(argv[I], "--stats")) {
-      ShowStats = true;
-    } else if (!std::strcmp(argv[I], "--json")) {
+    if (!std::strcmp(argv[I], "--json")) {
       Json = true;
-    } else if (!std::strcmp(argv[I], "--trace-out") && I + 1 < argc) {
-      TraceOut = argv[++I];
-    } else if (!std::strcmp(argv[I], "--profile")) {
-      ShowProfile = true;
-    } else if (!std::strcmp(argv[I], "--profile-out") && I + 1 < argc) {
-      ProfileOut = argv[++I];
     } else if (!std::strcmp(argv[I], "--slow-query-ms") && I + 1 < argc) {
       const char *Arg = argv[++I];
       if (!refine::cli::parseDouble(Arg, SlowQueryMs) || SlowQueryMs < 0) {
@@ -154,9 +141,7 @@ int main(int argc, char **argv) {
             Arg);
         return 2;
       }
-    } else if (!std::strcmp(argv[I], "--trace-out") ||
-               !std::strcmp(argv[I], "--profile-out") ||
-               !std::strcmp(argv[I], "--slow-query-ms")) {
+    } else if (!std::strcmp(argv[I], "--slow-query-ms")) {
       std::fprintf(stderr, "error: %s requires a value\n", argv[I]);
       return 2;
     } else if (argv[I][0] == '-' && argv[I][1] != '\0') {
@@ -180,34 +165,31 @@ int main(int argc, char **argv) {
   if (!Shared.validate())
     return 2;
 
-  if (TraceOut && !trace::openFile(TraceOut)) {
-    std::fprintf(stderr, "error: cannot open trace file '%s'\n", TraceOut);
-    return 2;
-  }
   // Any profiling consumer turns span collection on (before parsing, so
   // the parse span is part of the profile too).
-  if (ShowProfile || ProfileOut || SlowQueryMs >= 0) {
-    if (SlowQueryMs >= 0)
-      prof::setSlowQueryMs(SlowQueryMs);
-    prof::start();
-  }
+  if (SlowQueryMs >= 0)
+    prof::setSlowQueryMs(SlowQueryMs);
+  if (!Obs.start(/*CollectSpans=*/SlowQueryMs >= 0))
+    return 2;
+  // With --json active, stdout must stay a single valid JSON document.
+  std::FILE *Tables = Json ? stderr : stdout;
 
   std::string SrcText, TgtText;
   if (!readFile(SrcPath, SrcText) || !readFile(TgtPath, TgtText)) {
     std::fprintf(stderr, "error: cannot read input files\n");
-    return 2;
+    return Obs.finish(2, Tables);
   }
   Diag Err;
   Stopwatch ParseTimer;
   auto SrcM = ir::parseModule(SrcText, Err);
   if (!SrcM) {
     std::fprintf(stderr, "%s: %s\n", SrcPath, Err.str().c_str());
-    return 2;
+    return Obs.finish(2, Tables);
   }
   auto TgtM = ir::parseModule(TgtText, Err);
   if (!TgtM) {
     std::fprintf(stderr, "%s: %s\n", TgtPath, Err.str().c_str());
-    return 2;
+    return Obs.finish(2, Tables);
   }
   if (trace::enabled())
     trace::Event("parse")
@@ -279,21 +261,5 @@ int main(int argc, char **argv) {
     }
   }
 
-  if (ShowStats) {
-    // With --json active, stdout must stay a single valid JSON document.
-    std::string Table = stats::Registry::get().table();
-    std::fputs(Table.c_str(), Json ? stderr : stdout);
-  }
-  if (ShowProfile) {
-    std::string Table = prof::table();
-    std::fputs(Table.c_str(), Json ? stderr : stdout);
-  }
-  if (ProfileOut && !prof::writeChromeTrace(ProfileOut)) {
-    std::fprintf(stderr, "error: cannot write profile file '%s'\n",
-                 ProfileOut);
-    trace::close();
-    return 2;
-  }
-  trace::close();
-  return Failures ? 1 : 0;
+  return Obs.finish(Failures ? 1 : 0, Tables);
 }
