@@ -36,13 +36,6 @@ inline refine::Verdict runPair(const corpus::TestPair &P,
   return refine::Validator(O).verifyPair(*SF, *TF, SrcM.get());
 }
 
-/// Sum of the named distribution in a registry snapshot; 0 when absent.
-/// Benchmarks report "time.verify" sums instead of wrapping their own
-/// stopwatches around the sweep loop.
-inline double distSum(const stats::Snapshot &S, const std::string &Name) {
-  return S.dist(Name).Sum;
-}
-
 /// Writes a registry snapshot as a JSON document (counters as integers,
 /// distributions as {count,sum,min,max} objects). \returns false when the
 /// file cannot be opened.

@@ -109,11 +109,12 @@ static void BM_MonolithicQuery(benchmark::State &State) {
 BENCHMARK(BM_MonolithicQuery);
 
 /// Profiling overhead on the disabled path. Every instrumented phase pays
-/// one prof::Span per entry, so the disabled cost (one relaxed atomic load
-/// in the constructor, one branch in the destructor) is the price the whole
-/// pipeline pays when --profile is off. The acceptance bar is <= 3% on
-/// solver-bound work; compare BM_BitblastSolveAddProfiled against
-/// BM_BitblastSolveAdd at the same width for the enabled-path cost.
+/// one prof::Span per entry, so the disabled cost (one atomic load in the
+/// constructor, one branch in the destructor) is the price the whole
+/// pipeline pays when neither profiling nor a trace sink is on. The
+/// acceptance bar is <= 3% on solver-bound work; compare
+/// BM_BitblastSolveAddProfiled against BM_BitblastSolveAdd at the same
+/// width for the enabled-path cost.
 static void BM_ProfileSpanDisabled(benchmark::State &State) {
   prof::stop();
   for (auto _ : State) {

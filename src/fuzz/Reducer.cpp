@@ -182,10 +182,19 @@ std::unique_ptr<Module> validCandidate(const std::string &Text,
 
 ReduceResult Reducer::reduce(const std::string &OracleName,
                              const std::string &SrcIR) {
+  prof::Span Sp("fuzz_reduce", OracleName);
+  ReduceResult Res = shrink(OracleName, SrcIR);
+  Sp.num("candidates", Res.CandidatesTried)
+      .num("accepted", Res.Accepted)
+      .num("initial_instrs", Res.InitialInstrs)
+      .num("final_instrs", Res.FinalInstrs);
+  return Res;
+}
+
+ReduceResult Reducer::shrink(const std::string &OracleName,
+                             const std::string &SrcIR) {
   ALIVE_STAT_COUNTER(CtrCands, "fuzz.reduce.candidates");
   ALIVE_STAT_COUNTER(CtrAccepted, "fuzz.reduce.accepted");
-  prof::Span Sp("fuzz_reduce", OracleName.c_str());
-
   ReduceResult Res;
   Res.Oracle = OracleName;
   Res.SrcIR = SrcIR;

@@ -62,6 +62,9 @@ public:
              unsigned MaxProbes = 512);
 
 private:
+  /// reduce() without its fuzz_reduce span.
+  ReduceResult shrink(const std::string &OracleName, const std::string &SrcIR);
+
   Oracle &O;
   Limits L;
 };

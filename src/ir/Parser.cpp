@@ -1147,8 +1147,10 @@ void ParserImpl::finishFunction() {
 
 } // namespace
 
-std::unique_ptr<Module> ir::parseModule(const std::string &Text, Diag &Err) {
-  prof::Span ProfSpan("parse");
+std::unique_ptr<Module> ir::parseModule(const std::string &Text, Diag &Err,
+                                        std::string_view Source) {
+  prof::Span ProfSpan("parse", Source);
+  ProfSpan.num("bytes", Text.size());
   ParserImpl P(Text, Err);
   return P.run();
 }

@@ -18,11 +18,14 @@
 #include "support/Diag.h"
 
 #include <memory>
+#include <string_view>
 
 namespace alive::ir {
 
 /// Parses a whole module. \returns null and fills \p Err on failure.
-std::unique_ptr<Module> parseModule(const std::string &Text, Diag &Err);
+/// \p Source (e.g. a file path) labels the parse span.
+std::unique_ptr<Module> parseModule(const std::string &Text, Diag &Err,
+                                    std::string_view Source = {});
 
 /// Convenience: parses a module and aborts on failure (for tests/corpora
 /// whose inputs are known-good).

@@ -83,10 +83,10 @@ std::string cli::optionsUsage(bool IncludeJobs, bool IncludeObservability) {
        "when process\n"
        "                   RSS exceeds MB megabytes (0 = off)\n";
   if (IncludeObservability)
-    U += "  --stats          print the statistics registry after the run\n"
-         "  --trace-out FILE stream JSONL pipeline events to FILE\n"
-         "  --profile        print the per-phase profile table after the "
-         "run\n"
+    U += "  --stats          print the registry counters and the per-phase "
+         "profile table\n"
+         "                   after the run\n"
+         "  --trace-out FILE stream JSONL span and event records to FILE\n"
          "  --profile-out FILE  write a Chrome trace-event profile "
          "(Perfetto / chrome://tracing)\n";
   return U;
@@ -97,16 +97,16 @@ bool Observability::start(bool CollectSpans) {
     std::fprintf(stderr, "error: cannot open trace file '%s'\n", TraceOut);
     return false;
   }
-  if (Profile || ProfileOut || CollectSpans)
+  if (Stats || ProfileOut || CollectSpans)
     prof::start();
   return true;
 }
 
 int Observability::finish(int RC, std::FILE *Tables) {
-  if (Stats)
+  if (Stats) {
     std::fputs(stats::Registry::get().table().c_str(), Tables);
-  if (Profile)
     std::fputs(prof::table().c_str(), Tables);
+  }
   if (ProfileOut && !prof::writeChromeTrace(ProfileOut)) {
     std::fprintf(stderr, "error: cannot write profile file '%s'\n",
                  ProfileOut);
@@ -209,10 +209,6 @@ Parsed OptionsParser::consume(int Argc, char **Argv, int &I) {
   }
   if (Obs && !std::strcmp(A, "--stats")) {
     Obs->Stats = true;
-    return Parsed::Ok;
-  }
-  if (Obs && !std::strcmp(A, "--profile")) {
-    Obs->Profile = true;
     return Parsed::Ok;
   }
   if (Obs && !std::strcmp(A, "--trace-out")) {

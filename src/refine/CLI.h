@@ -11,9 +11,9 @@
 /// through atoi and silently accepted garbage. This parser owns the shared
 /// flags (--unroll, --timeout, --equivalence, --cache-dir,
 /// --no-query-cache, --retry, --deadline, --mem-limit; -j/--jobs where a
-/// tool is parallel; and the observability flags --stats, --trace-out FILE,
-/// --profile and --profile-out FILE where a tool opts in, together with
-/// their set-up and tear-down); tools offer each argv slot to it first and
+/// tool is parallel; and the observability flags --stats, --trace-out FILE
+/// and --profile-out FILE where a tool opts in, together with their set-up
+/// and tear-down); tools offer each argv slot to it first and
 /// keep only their tool-specific flags. Malformed values are diagnosed on
 /// stderr and the tool exits 2.
 ///
@@ -56,19 +56,20 @@ std::string optionsUsage(bool IncludeJobs, bool IncludeObservability = false);
 /// The observability flags of a tool that opts in.
 class Observability {
 public:
-  /// Opens the --trace-out file; starts span collection for --profile,
+  /// Opens the --trace-out file; starts span collection for --stats,
   /// --profile-out or \p CollectSpans (a tool's own span consumer).
   /// \returns false after a diagnostic when the file cannot be opened.
   bool start(bool CollectSpans = false);
 
-  /// Prints the --stats and --profile tables to \p Tables, writes the
-  /// --profile-out file and closes the trace; every exit after start()
-  /// returns through here. \returns \p RC, or 2 on a write failure.
+  /// Prints the --stats tables (registry counters, per-phase profile) to
+  /// \p Tables, writes the --profile-out file and closes the trace; every
+  /// exit after start() returns through here. \returns \p RC, or 2 on a
+  /// write failure.
   int finish(int RC, std::FILE *Tables);
 
 private:
   friend class OptionsParser;
-  bool Stats = false, Profile = false;
+  bool Stats = false;
   const char *TraceOut = nullptr, *ProfileOut = nullptr;
 };
 

@@ -12,14 +12,10 @@
 #include "smt/Fingerprint.h"
 #include "support/Profile.h"
 #include "support/QueryCache.h"
-#include "support/Stats.h"
-#include "support/Trace.h"
 #include "transform/Unroll.h"
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <map>
 #include <optional>
@@ -30,13 +26,6 @@ using namespace alive::smt;
 using namespace alive::sema;
 using ir::Function;
 using ir::Module;
-
-/// ALIVE_EF_DEBUG=1 streams the engine's search progress to stderr (the
-/// LLVM_DEBUG analog for this project). Cached once per process.
-static bool debugEnabled() {
-  static const bool On = std::getenv("ALIVE_EF_DEBUG") != nullptr;
-  return On;
-}
 
 std::string Options::validate() const {
   if (UnrollFactor == 0)
@@ -153,8 +142,8 @@ private:
   }
 
   /// The one staged-query routine: owns the staged_query span, the
-  /// refine.queries counter, the query-cache lookup and fill, the
-  /// remaining-budget check and the QueryStats / "query" record. The query
+  /// query-cache lookup and fill, the remaining-budget check and the
+  /// QueryStats record. The query
   /// kinds differ only in \p Fingerprint (its cache key) and \p Solve.
   QueryAnswer
   stagedQuery(const std::string &Check,
@@ -179,11 +168,7 @@ QueryAnswer RefinementCheck::stagedQuery(
     const std::function<QueryAnswer(const SolverBudget &)> &Solve) {
   prof::Span ProfSpan("staged_query", Check);
   prof::Effort Effort;
-  ALIVE_STAT_COUNTER(QueryCount, "refine.queries");
-  QueryCount.inc();
   Stopwatch QTimer;
-  if (debugEnabled())
-    fprintf(stderr, "[refine] query: %s\n", Check.c_str());
 
   // Query-level cache: the query is fully assembled, so its canonical
   // fingerprint is available before any solver work. A hit skips the
@@ -215,9 +200,9 @@ QueryAnswer RefinementCheck::stagedQuery(
     }
   }
 
-  // One record and one "query" event per query, so QueriesRun, the Queries
-  // vector and the trace stay in lockstep. A hit or a skipped query ran no
-  // solver, so its effort reads zero.
+  // One record per query, closed by one staged_query span, so QueriesRun,
+  // the Queries vector and the trace stay in lockstep. A hit or a skipped
+  // query ran no solver, so its effort reads zero.
   prof::Tally D = Effort.delta();
   const QueryStats &QS = QStats.emplace_back(QueryStats{
       .Check = Check,
@@ -231,20 +216,10 @@ QueryAnswer RefinementCheck::stagedQuery(
       .Propagations = D.Propagations,
       .Clauses = D.ClausesPeak,
       .CacheHit = CacheHit});
-  if (trace::enabled())
-    trace::Event("query")
-        .str("check", QS.Check)
-        .str("result", toString(QS.Result))
-        .num("seconds", QS.Seconds)
-        .num("solver_seconds", QS.SolverSeconds)
-        .num("sat_checks", QS.SatChecks)
-        .num("ef_iterations", QS.EFIterations)
-        .num("conflicts", QS.Conflicts)
-        .num("decisions", QS.Decisions)
-        .num("propagations", QS.Propagations)
-        .num("clauses", QS.Clauses)
-        .flag("cached", QS.CacheHit);
-  stats::addSample("time.query", QS.Seconds);
+  ProfSpan.str("result", toString(QS.Result))
+      .num("ef_iterations", QS.EFIterations)
+      .num("clauses", QS.Clauses)
+      .flag("cached", QS.CacheHit);
   return A;
 }
 
@@ -272,8 +247,6 @@ RefinementCheck::runQuery(const std::string &CheckName,
       CheckName, [&] { return fingerprintQuery(Q); },
       [&](const SolverBudget &B) {
         EFOutcome R = solveExistsForall(Q, B);
-        if (debugEnabled())
-          fprintf(stderr, "[refine] query returned res=%d\n", (int)R.Res);
         QueryAnswer Out;
         Out.Result = toQueryResult(R.Res);
         Out.Why = R.UnknownReason;
@@ -328,18 +301,8 @@ Verdict RefinementCheck::run() {
   // Bounded unrolling (Section 7).
   SrcU = SrcF.clone();
   TgtU = TgtF.clone();
-  Stopwatch UnrollTimer;
   auto SrcUnroll = transform::unrollLoops(*SrcU, Opts.UnrollFactor);
   auto TgtUnroll = transform::unrollLoops(*TgtU, Opts.UnrollFactor);
-  if (trace::enabled())
-    trace::Event("unroll")
-        .str("function", SrcF.name())
-        .num("factor", Opts.UnrollFactor)
-        .num("seconds", UnrollTimer.seconds())
-        .num("src_sinks", SrcUnroll.Sinks.size())
-        .num("tgt_sinks", TgtUnroll.Sinks.size())
-        .flag("irreducible",
-              SrcUnroll.HadIrreducible || TgtUnroll.HadIrreducible);
   if (SrcUnroll.HadIrreducible || TgtUnroll.HadIrreducible)
     return verdict(VerdictKind::Unsupported, "loops",
                    "irreducible control flow");
@@ -350,18 +313,9 @@ Verdict RefinementCheck::run() {
   EncodeOptions SO{"src", Opts.EquivalenceMode};
   EncodeOptions SIO{"srcI", Opts.EquivalenceMode};
   EncodeOptions TO{"tgt", Opts.EquivalenceMode};
-  Stopwatch EncodeTimer;
   Src = encodeFunction(*SrcU, *Layout, SrcUnroll.Sinks, SO);
   SrcI = encodeFunction(*SrcU, *Layout, SrcUnroll.Sinks, SIO);
   Tgt = encodeFunction(*TgtU, *Layout, TgtUnroll.Sinks, TO);
-  if (trace::enabled())
-    trace::Event("encode")
-        .str("function", SrcF.name())
-        .num("seconds", EncodeTimer.seconds())
-        .num("encodings", 3)
-        .flag("approx", !Src.ApproxFnNames.empty() ||
-                            !SrcI.ApproxFnNames.empty() ||
-                            !Tgt.ApproxFnNames.empty());
 
   // Premise (Section 5.2 final formula): the target executes within bounds
   // under both preconditions; the source-side premise uses its own
@@ -575,10 +529,6 @@ Verdict RefinementCheck::run() {
 Verdict refine::detail::checkPair(const Function &Src, const Function &Tgt,
                                   const Module *M, const Options &Opts,
                                   support::QueryCache *QC) {
-  ALIVE_STAT_COUNTER(Pairs, "refine.pairs");
-  Pairs.inc();
   prof::Span ProfSpan("verify_pair", Src.name());
-  ALIVE_STAT_SAMPLER(VerifyTime, "time.verify");
-  stats::ScopedTimer Timer(VerifyTime);
   return RefinementCheck(Src, Tgt, M, Opts, QC).run();
 }

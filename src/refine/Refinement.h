@@ -209,14 +209,14 @@ struct Verdict {
 
 namespace detail {
 /// Implementation entry behind Validator::verifyPair: runs the staged
-/// checks for one pair under \p Opts, including the per-pair registry
-/// samples. Does not validate \p Opts, does not install a cancellation
-/// flag and does not emit the "verdict" trace event — that is the
-/// Validator's job. \p QC, when non-null, is consulted before and filled
-/// after every staged query (the query level of the result cache); the
-/// pair level lives in the Validator. The free verifyRefinement/
-/// verifyModules wrappers that used to live here are gone —
-/// refine::Validator (Validator.h) is the one entry point.
+/// checks for one pair under \p Opts inside its verify_pair span. Does not
+/// validate \p Opts, does not install a cancellation flag and does not
+/// emit the "verdict" trace event — that is the Validator's job. \p QC,
+/// when non-null, is consulted before and filled after every staged query
+/// (the query level of the result cache); the pair level lives in the
+/// Validator. The free verifyRefinement/verifyModules wrappers that used to
+/// live here are gone — refine::Validator (Validator.h) is the one entry
+/// point.
 Verdict checkPair(const ir::Function &Src, const ir::Function &Tgt,
                   const ir::Module *M, const Options &Opts,
                   support::QueryCache *QC = nullptr);

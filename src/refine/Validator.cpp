@@ -177,22 +177,30 @@ void Validator::finalizeVerdict(Verdict &V, unsigned Rung) const {
   }
 }
 
-Verdict Validator::attemptPair(const ir::Function &Src,
-                               const ir::Function &Tgt, const ir::Module *M,
-                               unsigned Rung) {
-  Verdict V = runAttempt(Src, Tgt, M, Rung);
+bool Validator::ladderStep(const ir::Function &Src, const ir::Function &Tgt,
+                           const ir::Module *M, unsigned Rung, double &Cum,
+                           Verdict &V) {
+  V = runAttempt(Src, Tgt, M, Rung);
   V.Rung = Rung;
-  if (trace::enabled())
-    trace::Event("verdict")
-        .str("function", Src.name())
-        .str("kind", V.kindName())
-        .str("failed_check", V.FailedCheck)
-        .str("reason", toString(V.Why))
-        .num("seconds", V.Seconds)
-        .num("queries_run", V.QueriesRun)
-        .num("rung", V.Rung)
-        .flag("cached", V.Cached);
-  return V;
+  Cum += V.Seconds;
+  V.CumulativeSeconds = Cum;
+  bool Retry = shouldRetry(V, Rung);
+  if (Retry) {
+    ALIVE_STAT_COUNTER(Requeued, "retry.requeued");
+    Requeued.inc();
+  } else {
+    finalizeVerdict(V, Rung);
+  }
+  trace::Event("verdict")
+      .str("function", Src.name())
+      .str("kind", V.kindName())
+      .str("failed_check", V.FailedCheck)
+      .str("reason", toString(V.Why))
+      .num("seconds", V.Seconds)
+      .num("queries_run", V.QueriesRun)
+      .num("rung", V.Rung)
+      .flag("cached", V.Cached);
+  return Retry;
 }
 
 Verdict Validator::runAttempt(const ir::Function &Src,
@@ -307,18 +315,11 @@ Verdict Validator::verifyPair(const ir::Function &Src, const ir::Function &Tgt,
     return V;
   }
   double Cum = 0;
-  for (unsigned Rung = 0;; ++Rung) {
-    Verdict V = attemptPair(Src, Tgt, M, Rung);
-    Cum += V.Seconds;
-    V.CumulativeSeconds = Cum;
-    if (shouldRetry(V, Rung)) {
-      ALIVE_STAT_COUNTER(Requeued, "retry.requeued");
-      Requeued.inc();
-      continue;
-    }
-    finalizeVerdict(V, Rung);
-    return V;
-  }
+  Verdict V;
+  unsigned Rung = 0;
+  while (ladderStep(Src, Tgt, M, Rung, Cum, V))
+    ++Rung;
+  return V;
 }
 
 bool Validator::attemptTask(const PairTask &T, unsigned Index, unsigned Rung,
@@ -335,16 +336,9 @@ bool Validator::attemptTask(const PairTask &T, unsigned Index, unsigned Rung,
     // over long batches and makes each pair's encoding independent of
     // scheduling, so Jobs=N reproduces Jobs=1 verdicts exactly.
     smt::resetContext();
-    V = attemptPair(*T.Src, *T.Tgt, T.M, Rung);
+    if (ladderStep(*T.Src, *T.Tgt, T.M, Rung, Cum, V))
+      return true;
   }
-  Cum += V.Seconds;
-  V.CumulativeSeconds = Cum;
-  if (shouldRetry(V, Rung)) {
-    ALIVE_STAT_COUNTER(Requeued, "retry.requeued");
-    Requeued.inc();
-    return true;
-  }
-  finalizeVerdict(V, Rung);
   Out.V = std::move(V);
   emit(Out);
   return false;
@@ -380,15 +374,10 @@ Validator::verifyBatch(const std::vector<PairTask> &Tasks, unsigned Jobs,
   else if (Gov)
     Gov->armDeadline(0);
 
-  ALIVE_STAT_COUNTER(Batches, "validator.batches");
-  Batches.inc();
   prof::Span BatchSpan("verify_batch");
-  if (trace::enabled()) {
-    trace::Event Ev("batch");
-    Ev.num("pairs", Tasks.size()).num("jobs", Jobs);
-    if (Deadline > 0)
-      Ev.num("deadline_sec", Deadline);
-  }
+  BatchSpan.num("pairs", Tasks.size()).num("jobs", Jobs);
+  if (Deadline > 0)
+    BatchSpan.num("deadline_sec", Deadline);
 
   if (Jobs <= 1 || Tasks.size() == 1) {
     // FIFO requeue: a retry goes to the back, so every pair gets its cheap

@@ -169,10 +169,15 @@ public:
 
 private:
   void emit(const PairResult &R);
-  /// One ladder attempt on the current thread (runAttempt), then the
-  /// attempt's one "verdict" trace event, whichever way it ended.
-  Verdict attemptPair(const ir::Function &Src, const ir::Function &Tgt,
-                      const ir::Module *M, unsigned Rung);
+  /// One rung of the retry ladder on the current thread, shared by
+  /// verifyPair and batch tasks: runs the attempt (runAttempt), adds its
+  /// cost to \p Cum, decides the retry, finalizes a verdict that will not
+  /// be retried, and only then writes the attempt's one "verdict" trace
+  /// event, so the event carries the reason the caller sees. \returns true
+  /// when the pair must be retried at the next rung.
+  bool ladderStep(const ir::Function &Src, const ir::Function &Tgt,
+                  const ir::Module *M, unsigned Rung, double &Cum,
+                  Verdict &V);
   /// Deadline/cancel gates, the rung-scaled budget, governor job
   /// registration, pair cache, checkPair, and the governor-trip verdict
   /// rewrite.
@@ -183,7 +188,7 @@ private:
   /// Stamps ladder-exit bookkeeping (RetriesExhausted, retry counters) on a
   /// verdict that will not be retried.
   void finalizeVerdict(Verdict &V, unsigned Rung) const;
-  /// Runs one batch task attempt at \p Rung (context reset + attemptPair),
+  /// Runs one batch task attempt at \p Rung (context reset + ladderStep),
   /// accumulating wall cost into \p Cum. \returns true when the pair must
   /// be re-enqueued at the next rung; otherwise the final verdict has been
   /// stored in \p Out and emitted.

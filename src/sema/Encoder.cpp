@@ -1344,13 +1344,11 @@ FunctionEncoding
 sema::encodeFunction(const Function &F, const MemoryLayout &L,
                      const std::unordered_set<const BasicBlock *> &Sinks,
                      const EncodeOptions &Opts) {
-  ALIVE_STAT_COUNTER(Functions, "encode.functions");
-  Functions.inc();
   // Detail = encoding tag: the src/srcI/tgt copies show up separately in
   // the Chrome trace while aggregating as one "encode" phase.
   prof::Span ProfSpan("encode", Opts.Tag);
-  ALIVE_STAT_SAMPLER(EncodeTime, "time.encode");
-  stats::ScopedTimer Timer(EncodeTime);
   Encoder E(F, L, Sinks, Opts);
-  return E.run();
+  FunctionEncoding Out = E.run();
+  ProfSpan.str("function", F.name()).flag("approx", !Out.ApproxFnNames.empty());
+  return Out;
 }

@@ -9,22 +9,12 @@
 #include "support/Diag.h"
 #include "support/Profile.h"
 #include "support/Stats.h"
-#include "support/Trace.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cassert>
 
 using namespace alive;
 using namespace alive::smt;
-
-/// ALIVE_EF_DEBUG=1 streams the engine's search progress to stderr (the
-/// LLVM_DEBUG analog for this project). Cached once per process.
-static bool debugEnabled() {
-  static const bool On = std::getenv("ALIVE_EF_DEBUG") != nullptr;
-  return On;
-}
 
 namespace {
 
@@ -300,12 +290,6 @@ bool modelInvolvesApp(const EFQuery &Query, const Model &M,
                       std::string &Which) {
   if (Query.AvoidAppPrefixes.empty())
     return false;
-  if (debugEnabled()) {
-    fprintf(stderr, "[ef] avoid prefixes (%zu):", Query.AvoidAppPrefixes.size());
-    for (const auto &P : Query.AvoidAppPrefixes)
-      fprintf(stderr, " %s", P.c_str());
-    fprintf(stderr, "\n");
-  }
   std::unordered_map<ExprId, Expr> Subst;
   for (const auto &[Id, V] : M.entries()) {
     const Node &N = ExprCtx::get().node(Id);
@@ -333,42 +317,11 @@ bool modelInvolvesApp(const EFQuery &Query, const Model &M,
   return survives(Query.Inner);
 }
 
-} // namespace
-
-EFOutcome smt::solveExistsForall(const EFQuery &Query,
-                                 const SolverBudget &Budget) {
+/// The search behind solveExistsForall; \p ProfSpan is its ef_search span.
+EFOutcome search(const EFQuery &Query, const SolverBudget &Budget,
+                 prof::Span &ProfSpan) {
   EFOutcome Out;
-  // Constructed before the TraceEmitter so the "ef_query" trace event
-  // (emitted in the Emitter's destructor) still carries this span's id.
-  prof::Span ProfSpan("ef_search");
-  prof::Effort Effort;
   Stopwatch Timer;
-  ALIVE_STAT_COUNTER(Queries, "ef.queries");
-  Queries.inc();
-
-  // Emits the query's summary on every exit path.
-  struct TraceEmitter {
-    EFOutcome &Out;
-    Stopwatch &Timer;
-    prof::Effort &Effort;
-    ~TraceEmitter() {
-      stats::addSample("time.ef_query", Timer.seconds());
-      if (!trace::enabled())
-        return;
-      prof::Tally D = Effort.delta();
-      trace::Event("ef_query")
-          .str("result", toString(Out.Res))
-          .num("iterations", Out.Iterations)
-          .num("seconds", Timer.seconds())
-          .num("solver_seconds", D.SolveSeconds)
-          .num("sat_checks", D.SatChecks)
-          .num("conflicts", D.Conflicts)
-          .num("decisions", D.Decisions)
-          .num("propagations", D.Propagations)
-          .num("clauses", D.ClausesPeak)
-          .flag("approx_involved", Out.ApproxInvolved);
-    }
-  } Emitter{Out, Timer, Effort};
 
   std::vector<Expr> Outer = Query.Outer;
   Expr Phi = Query.Inner;
@@ -404,14 +357,13 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
       AllSeeds.push_back(std::move(Augmented));
     }
   }
+  unsigned Accepted = 0;
   for (const EFQuery::Seed &S : AllSeeds) {
     Expr Inst = substitute(Phi, S.VarMap);
     Inst = renameApps(Inst, S.AppRenames);
     if (mentionsAnyVar(Inst, InnerVars)) {
       ALIVE_STAT_COUNTER(SeedsSkipped, "ef.seeds_skipped");
       SeedsSkipped.inc();
-      if (debugEnabled())
-        fprintf(stderr, "[ef] seed skipped (inner vars remain)\n");
       continue; // partial instantiation would be unsound; skip
     }
     bool InnerAppLeft = false;
@@ -428,11 +380,11 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
     }
     ALIVE_STAT_COUNTER(SeedsAccepted, "ef.seeds_accepted");
     SeedsAccepted.inc();
-    if (debugEnabled())
-      fprintf(stderr, "[ef] seed accepted, inst=%s\n",
-              toString(Inst).substr(0, 160).c_str());
+    ++Accepted;
     Outer.push_back(mkNot(Inst));
   }
+  ProfSpan.num("seeds_accepted", Accepted)
+      .num("seeds_skipped", AllSeeds.size() - Accepted);
 
   ackermannizeQuery(Outer, Phi, InnerVars, Query.InnerAppPrefixes);
 
@@ -462,8 +414,6 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
       // One span per CEGIS round (outer check + witness check).
       prof::Span IterSpan("ef_iteration");
       ++Out.Iterations;
-      ALIVE_STAT_COUNTER(Iterations, "ef.iterations");
-      Iterations.inc();
       // Pick up instantiations discovered by earlier phases.
       for (; NextBlocking < InstBlockings.size(); ++NextBlocking)
         OuterSolver.add(InstBlockings[NextBlocking]);
@@ -483,12 +433,7 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
       SolverBudget SubBudget = Budget;
       SubBudget.TimeoutSec = Remaining;
 
-      if (debugEnabled())
-        fprintf(stderr, "[ef] iter=%u outer check...\n", Out.Iterations);
       SolveOutcome OuterRes = OuterSolver.check(SubBudget);
-      if (debugEnabled())
-        fprintf(stderr, "[ef] iter=%u outer done res=%d\n", Out.Iterations,
-                (int)OuterRes.Res);
       if (OuterRes.isUnsat())
         return Phase::Unsat;
       if (OuterRes.isUnknown()) {
@@ -504,12 +449,7 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
         BitVec Val = OuterRes.M.get(Var);
         OuterSubst[V] = Var.isBool() ? mkBool(!Val.isZero()) : mkBV(Val);
       }
-      if (debugEnabled())
-        fprintf(stderr, "[ef] subst phi...\n");
       Expr PhiInst = substitute(Phi, OuterSubst);
-      if (debugEnabled())
-        fprintf(stderr, "[ef] subst done const=%d\n",
-                (int)(PhiInst.isTrue() || PhiInst.isFalse()));
 
       Model Witness;
       bool NoInnerWitness = PhiInst.isFalse();
@@ -521,9 +461,6 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
           return Phase::Unknown;
         }
         SubBudget.TimeoutSec = Remaining;
-        if (debugEnabled())
-          fprintf(stderr, "[ef] iter=%u inner check dag=%zu...\n",
-                  Out.Iterations, dagSize(PhiInst));
         SolveOutcome InnerRes = checkSat(PhiInst, SubBudget);
         if (InnerRes.isUnknown()) {
           Out.Res = SatResult::Unknown;
@@ -541,8 +478,6 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
         // Genuine outer witness. If its support includes an
         // over-approximated feature, remember it and keep searching for a
         // clean model for a bounded number of attempts (Section 3.8).
-        if (debugEnabled())
-          fprintf(stderr, "[ef] genuine witness; approx check...\n");
         std::string App;
         if (!modelInvolvesApp(Query, OuterRes.M, App)) {
           Out.Res = SatResult::Sat;
@@ -550,8 +485,6 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
           Out.ApproxInvolved = false;
           return Phase::FoundClean;
         }
-        if (debugEnabled())
-          fprintf(stderr, "[ef] approx involved: %s\n", App.c_str());
         if (!Out.ApproxInvolved) {
           Out.ApproxInvolved = true;
           Out.ApproxApp = App;
@@ -584,11 +517,7 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
         BitVec Val = Witness.get(Var);
         InnerSubst[V] = Var.isBool() ? mkBool(!Val.isZero()) : mkBV(Val);
       }
-      if (debugEnabled())
-        fprintf(stderr, "[ef] building blocking...\n");
       InstBlockings.push_back(mkNot(substitute(Phi, InnerSubst)));
-      if (debugEnabled())
-        fprintf(stderr, "[ef] blocking built\n");
     }
     return Phase::Exhausted;
   };
@@ -640,5 +569,17 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
     Out.UnknownReason = Reason::QuantifierLimit;
     return Out;
   }
+  return Out;
+}
+
+} // namespace
+
+EFOutcome smt::solveExistsForall(const EFQuery &Query,
+                                 const SolverBudget &Budget) {
+  prof::Span ProfSpan("ef_search");
+  EFOutcome Out = search(Query, Budget, ProfSpan);
+  ProfSpan.str("result", toString(Out.Res))
+      .num("iterations", Out.Iterations)
+      .flag("approx_involved", Out.ApproxInvolved);
   return Out;
 }

@@ -369,38 +369,25 @@ SatStatus SatSolver::solve(const SatLimits &Limits) {
   // Span first, flusher second: the flusher's destructor runs before the
   // span's, so the span observes this solve's per-thread tally deltas.
   prof::Span ProfSpan("sat_solve");
-  // Flush this solve's effort deltas into the global registry and the
-  // per-thread tally on every exit path. This is the only place CDCL
-  // counters become effort; the search loop itself only touches plain
-  // members.
+  // Adds this solve's effort deltas to the per-thread tally on every exit
+  // path. This is the only place CDCL counters become effort; the search
+  // loop itself only touches plain members.
   struct StatFlusher {
     SatSolver &S;
     uint64_t C0 = S.Conflicts, D0 = S.Decisions, P0 = S.Propagations;
     uint64_t R0 = S.Restarts, L0 = S.LearnedClauses, Red0 = S.DbReductions;
     Stopwatch Timer{};
     ~StatFlusher() {
-      // One static aggregate = one thread-safe-static guard per solve
-      // instead of seven.
+      // Clause-database churn has no tally field: process totals only.
       struct Handles {
-        stats::Counter Solves = stats::counter("sat.solves");
-        stats::Counter Conflicts = stats::counter("sat.conflicts");
-        stats::Counter Decisions = stats::counter("sat.decisions");
-        stats::Counter Propagations = stats::counter("sat.propagations");
-        stats::Counter Restarts = stats::counter("sat.restarts");
         stats::Counter Learned = stats::counter("sat.learned_clauses");
         stats::Counter Reductions = stats::counter("sat.db_reductions");
       };
       static Handles H;
-      H.Solves.inc();
-      H.Conflicts.inc(S.Conflicts - C0);
-      H.Decisions.inc(S.Decisions - D0);
-      H.Propagations.inc(S.Propagations - P0);
-      H.Restarts.inc(S.Restarts - R0);
       H.Learned.inc(S.LearnedClauses - L0);
       H.Reductions.inc(S.DbReductions - Red0);
-      // Same deltas into the per-thread profiling tally: plain adds, so
-      // span attribution stays exact under -j N (a pair never migrates
-      // between threads).
+      // Plain adds, so span attribution stays exact under -j N (a pair
+      // never migrates between threads).
       prof::Tally &T = prof::tally();
       T.Conflicts += S.Conflicts - C0;
       T.Decisions += S.Decisions - D0;

@@ -7,7 +7,6 @@
 #include "smt/Simplify.h"
 
 #include "support/Profile.h"
-#include "support/Stats.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -467,8 +466,6 @@ bool smt::detail::isCommutative(Kind K) {
 
 Expr smt::detail::fold(Node N) {
   if (Expr R = foldRules(N); R.isValid()) {
-    ALIVE_STAT_COUNTER(Rewrites, "simplify.rewrites");
-    Rewrites.inc();
     // Thread-local profiling tally: lets spans attribute simplifier work
     // to the phase that built the expressions (encode vs. search).
     ++prof::tally().Rewrites;

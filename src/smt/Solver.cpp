@@ -8,7 +8,6 @@
 
 #include "support/Profile.h"
 #include "support/Stats.h"
-#include "support/Trace.h"
 
 #include <algorithm>
 #include <cassert>
@@ -116,65 +115,41 @@ SolveOutcome Solver::check(const SolverBudget &Budget) {
   // Child sat_solve spans cover the CDCL core; this span's self time is
   // model extraction plus telemetry flushing.
   prof::Span ProfSpan("sat_check");
-  prof::Effort Effort;
-  ALIVE_STAT_COUNTER(Checks, "solver.checks");
-  Checks.inc();
   flushBlastStats();
 
   SolveOutcome Out;
-  auto finish = [&]() {
-    // No SatSolver::solve ran when the check was decided up front.
-    prof::Tally D = Effort.delta();
-    if (D.SatChecks) {
-      ALIVE_STAT_SAMPLER(CheckTime, "time.sat_check");
-      CheckTime.record(D.SolveSeconds);
-    }
-    if (trace::enabled())
-      trace::Event("sat_check")
-          .str("result", toString(Out.Res))
-          .num("seconds", D.SolveSeconds)
-          .num("conflicts", D.Conflicts)
-          .num("decisions", D.Decisions)
-          .num("propagations", D.Propagations)
-          .num("restarts", D.Restarts)
-          .num("clauses", D.ClausesPeak)
-          .num("vars", D.SatChecks ? Sat->numVars() : 0);
-  };
-
+  bool Solved = false;
   if (TriviallyUnsat) {
     Out.Res = SatResult::Unsat;
-    finish();
-    return Out;
-  }
-  if (Blaster->overBudget()) {
+  } else if (Blaster->overBudget()) {
     Out.Res = SatResult::Unknown;
     Out.UnknownReason = Reason::Memory;
-    finish();
-    return Out;
+  } else {
+    SatLimits Limits;
+    Limits.TimeoutSec = Budget.TimeoutSec;
+    Limits.MaxLiterals = Budget.MaxLiterals;
+    Limits.MaxConflicts = Budget.MaxConflicts;
+    Limits.Cancel = Budget.Cancel;
+    Solved = true;
+    switch (Sat->solve(Limits)) {
+    case SatStatus::Unsat:
+      Out.Res = SatResult::Unsat;
+      break;
+    case SatStatus::Unknown:
+      Out.Res = SatResult::Unknown;
+      Out.UnknownReason = Sat->unknownReason();
+      break;
+    case SatStatus::Sat:
+      Out.Res = SatResult::Sat;
+      for (ExprId VarId : SeenVars)
+        Out.M.set(VarId, Blaster->readVar(Expr(VarId)));
+      break;
+    }
   }
-  SatLimits Limits;
-  Limits.TimeoutSec = Budget.TimeoutSec;
-  Limits.MaxLiterals = Budget.MaxLiterals;
-  Limits.MaxConflicts = Budget.MaxConflicts;
-  Limits.Cancel = Budget.Cancel;
-
-  switch (Sat->solve(Limits)) {
-  case SatStatus::Unsat:
-    Out.Res = SatResult::Unsat;
-    finish();
-    return Out;
-  case SatStatus::Unknown:
-    Out.Res = SatResult::Unknown;
-    Out.UnknownReason = Sat->unknownReason();
-    finish();
-    return Out;
-  case SatStatus::Sat:
-    break;
-  }
-  Out.Res = SatResult::Sat;
-  for (ExprId VarId : SeenVars)
-    Out.M.set(VarId, Blaster->readVar(Expr(VarId)));
-  finish();
+  // No SatSolver::solve ran when the check was decided up front.
+  ProfSpan.str("result", toString(Out.Res))
+      .num("clauses", Solved ? Sat->numClauses() : 0)
+      .num("vars", Solved ? Sat->numVars() : 0);
   return Out;
 }
 

@@ -71,8 +71,8 @@ public:
   /// Asserts the Bool expression \p E (conjunction semantics).
   void add(Expr E);
 
-  /// Checks satisfiability of all assertions so far. Its effort lands in
-  /// the per-thread prof::tally(); read it with a prof::Effort scope.
+  /// Checks satisfiability of all assertions so far, under a sat_check
+  /// span. Its effort lands in the per-thread prof::tally().
   SolveOutcome check(const SolverBudget &Budget = SolverBudget());
 
 private:

@@ -20,16 +20,19 @@
 
 using namespace alive;
 using namespace alive::prof;
+using prof::detail::Collecting;
+using prof::detail::Mode;
+
+std::atomic<unsigned> prof::detail::Mode{0};
 
 namespace {
 
-std::atomic<bool> Enabled{false};
 std::atomic<uint64_t> NextSpanId{1};
 
 std::mutex Mu;
 std::vector<SpanRecord> Records; // guarded by Mu
-Stopwatch Epoch;                 // reset by start(); reads are racy-benign
-                                 // (only spans opened while enabled read it)
+const Stopwatch Clock;           // never reset: every span reads it
+std::atomic<double> EpochSec{0}; // Clock reading at the last start()
 
 std::atomic<double> SlowQueryMs{-1.0};
 std::mutex SlowMu;
@@ -71,8 +74,8 @@ void logSlowQuery(const SpanRecord &R) {
                 "  conflicts=%" PRIu64 " decisions=%" PRIu64
                 " propagations=%" PRIu64 " rewrites=%" PRIu64
                 " sat_checks=%" PRIu64 "\n",
-                R.Conflicts, R.Decisions, R.Propagations, R.Rewrites,
-                R.SatChecks);
+                R.Delta.Conflicts, R.Delta.Decisions, R.Delta.Propagations,
+                R.Delta.Rewrites, R.Delta.SatChecks);
   char Head[64];
   std::snprintf(Head, sizeof Head, "[slow-query] %.1f ms  path=",
                 R.DurSec * 1000.0);
@@ -95,20 +98,20 @@ void logSlowQuery(const SpanRecord &R) {
 
 } // namespace
 
-bool prof::enabled() { return Enabled.load(std::memory_order_relaxed); }
+bool prof::enabled() {
+  return Mode.load(std::memory_order_relaxed) & Collecting;
+}
 
 void prof::start() {
   {
     std::lock_guard<std::mutex> Lock(Mu);
     Records.clear();
-    Epoch.reset();
   }
-  // Release pairs with the acquire in Span's constructor: a span that sees
-  // the flag also sees the reset epoch.
-  Enabled.store(true, std::memory_order_release);
+  EpochSec.store(Clock.seconds(), std::memory_order_relaxed);
+  Mode.fetch_or(Collecting, std::memory_order_release);
 }
 
-void prof::stop() { Enabled.store(false, std::memory_order_release); }
+void prof::stop() { Mode.fetch_and(~Collecting, std::memory_order_release); }
 
 void prof::clear() {
   std::lock_guard<std::mutex> Lock(Mu);
@@ -126,14 +129,7 @@ Tally &prof::tally() {
   return T;
 }
 
-Effort::Effort() : At0(tally()) { tally().ClausesPeak = 0; }
-
-Effort::~Effort() {
-  Tally &T = tally();
-  T.ClausesPeak = std::max(T.ClausesPeak, At0.ClausesPeak);
-}
-
-Tally Effort::delta() const {
+Tally prof::since(const Tally &At0) {
   const Tally &T = tally();
   Tally D;
   D.Conflicts = T.Conflicts - At0.Conflicts;
@@ -143,46 +139,68 @@ Tally Effort::delta() const {
   D.Rewrites = T.Rewrites - At0.Rewrites;
   D.SatChecks = T.SatChecks - At0.SatChecks;
   D.SolveSeconds = T.SolveSeconds - At0.SolveSeconds;
-  D.ClausesPeak = T.ClausesPeak; // the peak since this scope zeroed it
   return D;
 }
 
-Span::Span(const char *Name, std::string_view Detail)
-    : On(Enabled.load(std::memory_order_acquire)), Name(Name) {
-  if (!On)
-    return;
+Effort::Effort() : At0(tally()) { tally().ClausesPeak = 0; }
+
+Effort::~Effort() {
+  Tally &T = tally();
+  T.ClausesPeak = std::max(T.ClausesPeak, At0.ClausesPeak);
+}
+
+Tally Effort::delta() const {
+  Tally D = since(At0);
+  D.ClausesPeak = tally().ClausesPeak; // the peak since this scope zeroed it
+  return D;
+}
+
+void Span::open(unsigned M, std::string_view Detail) {
+  Collect = M & Collecting;
+  On = M & detail::Tracing;
   this->Detail = Detail;
   ThreadState &TS = threadState();
   SpanId = NextSpanId.fetch_add(1, std::memory_order_relaxed);
   ParentId = TS.Stack.empty() ? TS.InheritedParent : TS.Stack.back().Id;
   TS.Stack.push_back({SpanId, Name});
   At0 = tally();
-  Start = Epoch.seconds();
+  Start = Clock.seconds();
 }
 
-Span::~Span() {
-  if (!On)
-    return;
+void Span::close() {
   SpanRecord R;
   R.Id = SpanId;
   R.Parent = ParentId;
   R.Name = Name;
-  R.Detail = std::move(Detail);
   R.Tid = threadId();
-  R.StartSec = Start;
-  R.DurSec = Epoch.seconds() - Start;
-  const Tally &T = tally();
-  R.Conflicts = T.Conflicts - At0.Conflicts;
-  R.Decisions = T.Decisions - At0.Decisions;
-  R.Propagations = T.Propagations - At0.Propagations;
-  R.Rewrites = T.Rewrites - At0.Rewrites;
-  R.SatChecks = T.SatChecks - At0.SatChecks;
+  R.StartSec = Start - EpochSec.load(std::memory_order_relaxed);
+  R.DurSec = Clock.seconds() - Start;
+  R.Delta = since(At0);
 
   // RAII spans unwind strictly nested, so this span is the innermost open
   // one; pop before the slow log so the path ends at this span's parent.
   ThreadState &TS = threadState();
   if (!TS.Stack.empty() && TS.Stack.back().Id == SpanId)
     TS.Stack.pop_back();
+
+  if (On) {
+    const Tally &D = R.Delta;
+    char Nums[320];
+    std::snprintf(Nums, sizeof Nums,
+                  ",\"seconds\":%.9g,\"sat_checks\":%" PRIu64
+                  ",\"solve_seconds\":%.9g,\"conflicts\":%" PRIu64
+                  ",\"decisions\":%" PRIu64 ",\"propagations\":%" PRIu64
+                  ",\"restarts\":%" PRIu64 ",\"rewrites\":%" PRIu64,
+                  R.DurSec, D.SatChecks, D.SolveSeconds, D.Conflicts,
+                  D.Decisions, D.Propagations, D.Restarts, D.Rewrites);
+    std::string Lead = ",\"parent\":" + std::to_string(ParentId) +
+                       ",\"detail\":\"" + trace::jsonEscape(Detail) + "\"" +
+                       Nums;
+    write(Name, SpanId, Lead);
+  }
+  if (!Collect)
+    return;
+  R.Detail = std::move(Detail);
 
   double Slow = SlowQueryMs.load(std::memory_order_relaxed);
   if (Slow >= 0 && R.DurSec * 1000.0 >= Slow &&
@@ -252,9 +270,14 @@ std::vector<PhaseAgg> prof::aggregate() {
     if (auto It = ChildSec.find(R.Id); It != ChildSec.end())
       Self -= It->second;
     A.SelfSec += std::max(Self, 0.0);
-    A.Conflicts += R.Conflicts;
-    A.Decisions += R.Decisions;
-    A.Propagations += R.Propagations;
+    const Tally &D = R.Delta;
+    A.Delta.Conflicts += D.Conflicts;
+    A.Delta.Decisions += D.Decisions;
+    A.Delta.Propagations += D.Propagations;
+    A.Delta.Restarts += D.Restarts;
+    A.Delta.Rewrites += D.Rewrites;
+    A.Delta.SatChecks += D.SatChecks;
+    A.Delta.SolveSeconds += D.SolveSeconds;
   }
 
   std::vector<PhaseAgg> Out;
@@ -274,14 +297,18 @@ std::string prof::table() {
     return "(no profile spans recorded)\n";
   std::string Out =
       "phase                 count     total s      mean s       max s"
-      "      self s    conflicts\n";
-  char Line[256];
+      "      self s  sat_checks     solve s    conflicts    decisions"
+      " propagations  restarts  rewrites\n";
+  char Line[320];
   for (const PhaseAgg &A : Aggs) {
+    const Tally &D = A.Delta;
     std::snprintf(Line, sizeof Line,
-                  "%-20s %6" PRIu64 " %11.6f %11.6f %11.6f %11.6f %12" PRIu64
-                  "\n",
+                  "%-20s %6" PRIu64 " %11.6f %11.6f %11.6f %11.6f %11" PRIu64
+                  " %11.6f %12" PRIu64 " %12" PRIu64 " %12" PRIu64
+                  " %9" PRIu64 " %9" PRIu64 "\n",
                   A.Name.c_str(), A.Count, A.TotalSec, A.MeanSec, A.MaxSec,
-                  A.SelfSec, A.Conflicts);
+                  A.SelfSec, D.SatChecks, D.SolveSeconds, D.Conflicts,
+                  D.Decisions, D.Propagations, D.Restarts, D.Rewrites);
     Out += Line;
   }
   return Out;
@@ -328,8 +355,9 @@ bool prof::writeChromeTrace(const std::string &Path) {
                   ",\"propagations\":%" PRIu64 ",\"rewrites\":%" PRIu64
                   ",\"sat_checks\":%" PRIu64 ",\"detail\":\"",
                   First ? "" : ",", R.Tid, R.StartSec * 1e6, R.DurSec * 1e6,
-                  R.Name, R.Id, R.Parent, R.Conflicts, R.Decisions,
-                  R.Propagations, R.Rewrites, R.SatChecks);
+                  R.Name, R.Id, R.Parent, R.Delta.Conflicts,
+                  R.Delta.Decisions, R.Delta.Propagations, R.Delta.Rewrites,
+                  R.Delta.SatChecks);
     OS << Buf << trace::jsonEscape(R.Detail) << "\"}}";
     First = false;
   }

@@ -7,8 +7,9 @@
 /// \file
 /// An RAII span subsystem attributing wall time and solver effort to the
 /// phases of the verification pipeline (the telemetry behind the paper's
-/// Figures 7-8 breakdowns). Each thread keeps a thread_local stack of open
-/// spans, so spans nest naturally:
+/// Figures 7-8 breakdowns). A closing span is the phase's only record.
+/// Each thread keeps a thread_local stack of open spans, so spans nest
+/// naturally:
 ///
 ///   verify_pair > unroll / encode / staged_query > ef_iteration > sat_check
 ///
@@ -20,20 +21,27 @@
 /// refine::Validator), so attribution stays exact under `-j N`; deltas are
 /// inclusive of child spans.
 ///
+/// A span is on while profiling is on (start()) or a trace sink is
+/// attached (trace::enabled()). With profiling on, its close appends a
+/// SpanRecord to the collected records; with a sink attached, its close
+/// writes one JSONL line carrying its id, parent, detail, seconds, the
+/// additive tally deltas and the fields the site attached through the
+/// trace::Fields builder (str/num/flag).
+///
 /// Spans cross ThreadPool/Validator job boundaries explicitly: the
 /// submitting thread captures a Context (current span id + path) at
 /// fan-out, and the worker installs it with an Adopt guard, making the
 /// batch span the parent of every per-pair span it spawned.
 ///
-/// Everything is disabled by default. A disabled Span costs one relaxed
-/// atomic load; the tally increments are unconditional plain thread_local
-/// adds (cheaper than the stats registry's atomics on the same paths).
+/// Everything is disabled by default. A disabled Span costs one atomic
+/// load; the tally increments are unconditional plain thread_local adds.
 ///
 /// Consumers (see also tools/check_trace.py and DESIGN.md):
+///  * the JSONL trace (see Trace.h);
 ///  * writeChromeTrace() - Chrome trace-event JSON, loadable in Perfetto /
 ///    chrome://tracing, one track per worker thread;
 ///  * table() / aggregate() - per-phase count / total / mean / max / self
-///    wall seconds (self = total minus time in child spans);
+///    wall seconds (self = total minus time in child spans) and effort;
 ///  * setSlowQueryMs() - dumps the full span path and counter deltas of
 ///    any staged_query span exceeding the threshold.
 ///
@@ -42,6 +50,9 @@
 #ifndef ALIVE2RE_SUPPORT_PROFILE_H
 #define ALIVE2RE_SUPPORT_PROFILE_H
 
+#include "support/Trace.h"
+
+#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -63,15 +74,23 @@ void stop();
 void clear();
 
 /// Dense per-thread id (0, 1, 2, ... in first-use order), independent of
-/// profiling state. Shared with trace::Event's "tid" field so JSONL traces
-/// and Chrome tracks agree.
+/// profiling state. Shared with the JSONL "tid" field so JSONL traces and
+/// Chrome tracks agree.
 unsigned threadId();
+
+namespace detail {
+/// What a Span constructor loads: whether spans are collected into records
+/// (start()/stop()) and whether a trace sink is attached (set by the sink's
+/// attach/detach).
+enum : unsigned { Collecting = 1, Tracing = 2 };
+extern std::atomic<unsigned> Mode;
+} // namespace detail
 
 /// Per-thread running totals of solver effort, bumped unconditionally by
 /// the instrumented layers (SatSolver::solve, Simplify's fold). This is the
 /// only record of solver effort: spans, Effort scopes and everything built
-/// on them (the sat_check / ef_query / query trace events, QueryStats) read
-/// "tally after - tally before", never the solver's own counters.
+/// on them (span records, QueryStats) read "tally after - tally before",
+/// never the solver's own counters.
 struct Tally {
   uint64_t Conflicts = 0;
   uint64_t Decisions = 0;
@@ -88,12 +107,16 @@ struct Tally {
 };
 Tally &tally();
 
-/// Solver effort over one scope (a SAT check, an exists-forall query, a
-/// staged query): delta() is the tally difference since construction, with
-/// ClausesPeak the peak reached inside the scope. Construction saves and
-/// zeroes the thread's peak; destruction restores the larger of the saved
-/// and the inner peak, so enclosing scopes still see it. Scopes must nest
-/// and stay on one thread (a pair never migrates between threads).
+/// The additive fields of "this thread's tally now - \p At0" (ClausesPeak
+/// is left 0). The one delta routine behind spans and Effort scopes.
+Tally since(const Tally &At0);
+
+/// Solver effort over one scope (a staged query, for its QueryStats):
+/// delta() is since() over the scope, with ClausesPeak the peak reached
+/// inside it. Construction saves and zeroes the thread's peak; destruction
+/// restores the larger of the saved and the inner peak, so enclosing scopes
+/// still see it. Scopes must nest and stay on one thread (a pair never
+/// migrates between threads).
 class Effort {
 public:
   Effort();
@@ -122,30 +145,40 @@ struct SpanRecord {
   /// Start, seconds since the start() epoch.
   double StartSec = 0;
   double DurSec = 0;
-  /// Tally deltas over the span's lifetime (inclusive of children).
-  uint64_t Conflicts = 0;
-  uint64_t Decisions = 0;
-  uint64_t Propagations = 0;
-  uint64_t Rewrites = 0;
-  uint64_t SatChecks = 0;
+  /// since() over the span's lifetime (inclusive of children).
+  Tally Delta;
 };
 
-/// RAII span. Construction is one relaxed load when profiling is disabled;
-/// the detail string is only copied when enabled.
-class Span {
+/// RAII span. Construction is one atomic load when the span is off; the
+/// detail string is only copied when on. Fields attached through the
+/// trace::Fields builder appear in the span's JSONL line only.
+class Span : public trace::Fields {
 public:
   explicit Span(const char *Name) : Span(Name, std::string_view()) {}
-  Span(const char *Name, std::string_view Detail);
-  ~Span();
+  // Inline, so a span that is off costs one load and one branch at each
+  // end.
+  Span(const char *Name, std::string_view Detail)
+      : Fields(false), Name(Name) {
+    if (unsigned M = detail::Mode.load(std::memory_order_acquire))
+      open(M, Detail);
+  }
+  ~Span() {
+    if (SpanId)
+      close();
+  }
 
   Span(const Span &) = delete;
   Span &operator=(const Span &) = delete;
 
-  /// This span's id, 0 when profiling was disabled at construction.
+  /// This span's id, 0 when the span is off.
   uint64_t id() const { return SpanId; }
 
 private:
-  bool On;
+  void open(unsigned Mode, std::string_view Detail);
+  void close();
+
+  /// Profiling was on at construction: the close appends a SpanRecord.
+  bool Collect = false;
   uint64_t SpanId = 0;
   uint64_t ParentId = 0;
   const char *Name = "";
@@ -206,13 +239,13 @@ struct PhaseAgg {
   /// Total minus time spent in child spans (clamped at 0: children of a
   /// parallel batch span can sum past their parent's wall time).
   double SelfSec = 0;
-  uint64_t Conflicts = 0;
-  uint64_t Decisions = 0;
-  uint64_t Propagations = 0;
+  /// Sum of the spans' Delta.
+  Tally Delta;
 };
 std::vector<PhaseAgg> aggregate();
 
-/// Human-readable per-phase table of aggregate() (--profile output).
+/// Human-readable per-phase table of aggregate(), every additive tally
+/// field included (part of the --stats output).
 std::string table();
 
 /// Writes the collected spans as Chrome trace-event JSON (one complete "X"

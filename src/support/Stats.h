@@ -8,10 +8,15 @@
 /// A process-wide registry of named statistics backing the observability
 /// layer (the analog of the telemetry behind the paper's Figures 7 and 8):
 ///
-///  * counters  - monotone event counts ("sat.conflicts"), relaxed-atomic
-///    so hot paths may bump them from any thread without coordination;
+///  * counters  - monotone event counts ("cache.query.hits"),
+///    relaxed-atomic so hot paths may bump them from any thread without
+///    coordination;
 ///  * samples   - value distributions summarized as count/sum/min/max
-///    ("time.verify" wall seconds per pair, recorded by ScopedTimer).
+///    ("watchdog.rss_mb").
+///
+/// The registry keeps process totals that no profiler span, span count or
+/// effort tally already gives (phase counts, durations and solver effort
+/// live on prof::Span records; see DESIGN.md "Observability").
 ///
 /// Handles returned by counter() stay valid forever: reset() zeroes the
 /// values between verifications but never invalidates a slot, so
@@ -23,8 +28,6 @@
 
 #ifndef ALIVE2RE_SUPPORT_STATS_H
 #define ALIVE2RE_SUPPORT_STATS_H
-
-#include "support/Diag.h"
 
 #include <atomic>
 #include <cstdint>
@@ -65,8 +68,7 @@ struct DistSummary {
 };
 
 /// Cheap copyable handle to one named distribution. record() takes the
-/// registry mutex but skips the name lookup, so per-SAT-check sampling
-/// stays off the measurable path (see ALIVE_STAT_SAMPLER).
+/// registry mutex but skips the name lookup (see ALIVE_STAT_SAMPLER).
 class Sampler {
 public:
   Sampler() = default;
@@ -136,29 +138,6 @@ inline void addSample(const std::string &Name, double Value) {
 inline Sampler sampler(const std::string &Name) {
   return Registry::get().sampler(Name);
 }
-
-/// RAII wall-clock timer: records the enclosing scope's duration (seconds)
-/// as one sample of a distribution. Prefer the Sampler overload with a
-/// cached ALIVE_STAT_SAMPLER handle — it records without any name lookup,
-/// the documented fast path. The name overload resolves the handle once at
-/// construction (the destructor never pays a map lookup under the registry
-/// mutex).
-class ScopedTimer {
-public:
-  explicit ScopedTimer(Sampler Dist) : Dist(Dist) {}
-  explicit ScopedTimer(const char *Name)
-      : Dist(Registry::get().sampler(Name)) {}
-  ~ScopedTimer() { Dist.record(Watch.seconds()); }
-
-  ScopedTimer(const ScopedTimer &) = delete;
-  ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-  double seconds() const { return Watch.seconds(); }
-
-private:
-  Sampler Dist;
-  Stopwatch Watch;
-};
 
 } // namespace alive::stats
 

@@ -1,4 +1,4 @@
-//===- support/Trace.cpp - Structured JSONL query tracing -------------------==//
+//===- support/Trace.cpp - Structured JSONL tracing ------------------------==//
 //
 // Part of the alive2re project, under the MIT license.
 //
@@ -22,11 +22,13 @@ using namespace alive::trace;
 
 namespace {
 
-std::atomic<bool> Enabled{false};
+using prof::detail::Mode;
+using prof::detail::Tracing;
+
 std::mutex SinkMu;
-std::ostream *Sink = nullptr;         // guarded by SinkMu
-std::ofstream FileSink;               // owned file sink, when used
-Stopwatch *Epoch = nullptr;           // reset when a sink is attached
+std::ostream *Sink = nullptr; // guarded by SinkMu
+std::ofstream FileSink;       // owned file sink, when used
+Stopwatch Epoch;              // guarded by SinkMu; reset on attach
 
 void attach(std::ostream *OS) {
   std::lock_guard<std::mutex> Lock(SinkMu);
@@ -36,16 +38,18 @@ void attach(std::ostream *OS) {
   }
   Sink = OS;
   if (OS) {
-    static Stopwatch W;
-    W.reset();
-    Epoch = &W;
+    Epoch.reset();
+    Mode.fetch_or(Tracing, std::memory_order_release);
+  } else {
+    Mode.fetch_and(~Tracing, std::memory_order_release);
   }
-  Enabled.store(OS != nullptr, std::memory_order_relaxed);
 }
 
 } // namespace
 
-bool trace::enabled() { return Enabled.load(std::memory_order_relaxed); }
+bool trace::enabled() {
+  return Mode.load(std::memory_order_relaxed) & Tracing;
+}
 
 bool trace::openFile(const std::string &Path) {
   {
@@ -98,43 +102,33 @@ std::string trace::jsonEscape(std::string_view S) {
   return Out;
 }
 
-Event::Event(const char *Kind) : On(enabled()) {
-  if (!On)
+void Fields::write(const char *Kind, uint64_t Span,
+                   std::string_view Lead) const {
+  unsigned Tid = prof::threadId();
+  std::lock_guard<std::mutex> Lock(SinkMu);
+  if (!Sink)
     return;
-  double T = 0;
-  {
-    std::lock_guard<std::mutex> Lock(SinkMu);
-    if (Epoch)
-      T = Epoch->seconds();
-  }
-  // Every event carries the emitting thread ("tid", dense per-thread ids
-  // shared with the profiler's Chrome tracks) and the innermost profiling
-  // span ("span", 0 when none), so JSONL lines from `-j N` runs correlate.
+  // "t" is read under the sink lock, so it never decreases down the file.
   char Head[160];
   std::snprintf(Head, sizeof Head,
                 "{\"event\":\"%s\",\"t\":%.6f,\"tid\":%u,\"span\":%" PRIu64,
-                Kind, T, prof::threadId(), prof::currentSpanId());
-  Buf = Head;
+                Kind, Epoch.seconds(), Tid, Span);
+  *Sink << Head << Lead << Buf << "}\n";
+  Sink->flush();
 }
 
 Event::~Event() {
-  if (!On)
-    return;
-  Buf += "}\n";
-  std::lock_guard<std::mutex> Lock(SinkMu);
-  if (Sink) {
-    *Sink << Buf;
-    Sink->flush();
-  }
+  if (On)
+    write(Kind, prof::currentSpanId(), {});
 }
 
-void Event::key(const char *Key) {
+void Fields::key(const char *Key) {
   Buf += ",\"";
   Buf += Key;
   Buf += "\":";
 }
 
-Event &Event::str(const char *Key, std::string_view Value) {
+Fields &Fields::str(const char *Key, std::string_view Value) {
   if (!On)
     return *this;
   key(Key);
@@ -144,7 +138,7 @@ Event &Event::str(const char *Key, std::string_view Value) {
   return *this;
 }
 
-Event &Event::num(const char *Key, double Value) {
+Fields &Fields::num(const char *Key, double Value) {
   if (!On)
     return *this;
   key(Key);
@@ -157,7 +151,7 @@ Event &Event::num(const char *Key, double Value) {
   return *this;
 }
 
-Event &Event::numU(const char *Key, uint64_t Value) {
+Fields &Fields::numU(const char *Key, uint64_t Value) {
   key(Key);
   char Num[32];
   std::snprintf(Num, sizeof Num, "%" PRIu64, Value);
@@ -165,7 +159,7 @@ Event &Event::numU(const char *Key, uint64_t Value) {
   return *this;
 }
 
-Event &Event::numI(const char *Key, int64_t Value) {
+Fields &Fields::numI(const char *Key, int64_t Value) {
   key(Key);
   char Num[32];
   std::snprintf(Num, sizeof Num, "%" PRId64, Value);
@@ -173,7 +167,7 @@ Event &Event::numI(const char *Key, int64_t Value) {
   return *this;
 }
 
-Event &Event::flag(const char *Key, bool Value) {
+Fields &Fields::flag(const char *Key, bool Value) {
   if (!On)
     return *this;
   key(Key);

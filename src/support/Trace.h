@@ -1,31 +1,33 @@
-//===- support/Trace.h - Structured JSONL query tracing ---------*- C++ -*-==//
+//===- support/Trace.h - Structured JSONL tracing ---------------*- C++ -*-==//
 //
 // Part of the alive2re project, under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// An optional structured trace of the solver pipeline: one JSON object per
-/// line (JSONL), one line per pipeline event — unroll, encode, each staged
-/// refinement query, each exists-forall search, each SAT check. Disabled by
-/// default; when no sink is attached, enabled() is a relaxed atomic load so
-/// instrumented call sites cost one predictable branch.
+/// An optional structured trace of the pipeline: one JSON object per line
+/// (JSONL). Disabled by default; when no sink is attached, enabled() is a
+/// relaxed atomic load so instrumented call sites cost one predictable
+/// branch.
 ///
-/// Every event carries "event" (its kind), "t" (seconds since the sink
-/// was attached), "tid" (dense per-thread id, shared with the profiler's
-/// Chrome tracks) and "span" (innermost prof::Span id, 0 when none), so
-/// interleaved lines from `alive-tv -j N` runs stay attributable;
-/// remaining fields are event-specific. Field values are strings, numbers
-/// or booleans — nesting is deliberately unsupported so every consumer can
-/// stream-parse line by line. See the "Observability" section of DESIGN.md
-/// for the schema of each event kind.
+/// Two kinds of record share the format. Every closing prof::Span writes
+/// one line describing its phase (see Profile.h); point events that have
+/// no duration (a verdict, a deadline trip, a cache load) are trace::Event
+/// temporaries. Every line carries "event" (the span or event name), "t"
+/// (seconds since the sink was attached, at the moment of writing), "tid"
+/// (dense per-thread id, shared with the profiler's Chrome tracks) and
+/// "span" (a span record's own id; for a point event the innermost open
+/// span, 0 when none), so interleaved lines from `alive-tv -j N` runs stay
+/// attributable; the remaining fields are record-specific. Field values are
+/// strings, numbers or booleans — nesting is deliberately unsupported so
+/// every consumer can stream-parse line by line. See the "Observability"
+/// section of DESIGN.md for the schema.
 ///
 /// Usage at an instrumented site:
 ///
-///   if (trace::enabled())
-///     trace::Event("sat_check").str("result", R).num("conflicts", C);
+///   trace::Event("cache_load").num("records", N).num("bad", Bad);
 ///
-/// The event is emitted (atomically, one line) when the temporary dies.
+/// The event is written (atomically, one line) when the temporary dies.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,25 +61,22 @@ void close();
 /// control characters). Shared with the --json renderer in alive-tv.
 std::string jsonEscape(std::string_view S);
 
-/// One JSONL event, emitted on destruction. Construction is a no-op when
-/// tracing is disabled; callers should still guard field computation with
-/// enabled() to avoid formatting costs.
-class Event {
+/// The typed fields of one JSONL record, shared by point events and span
+/// records. Every builder call is a no-op unless the record was live (a
+/// sink attached) at construction.
+class Fields {
 public:
-  explicit Event(const char *Kind);
-  ~Event();
+  Fields(const Fields &) = delete;
+  Fields &operator=(const Fields &) = delete;
 
-  Event(const Event &) = delete;
-  Event &operator=(const Event &) = delete;
-
-  Event &str(const char *Key, std::string_view Value);
-  Event &num(const char *Key, double Value);
-  Event &flag(const char *Key, bool Value);
+  Fields &str(const char *Key, std::string_view Value);
+  Fields &num(const char *Key, double Value);
+  Fields &flag(const char *Key, bool Value);
 
   template <typename T,
             std::enable_if_t<std::is_integral_v<T> && !std::is_same_v<T, bool>,
                              int> = 0>
-  Event &num(const char *Key, T Value) {
+  Fields &num(const char *Key, T Value) {
     if (!On)
       return *this;
     if constexpr (std::is_signed_v<T>)
@@ -86,13 +85,33 @@ public:
       return numU(Key, (uint64_t)Value);
   }
 
-private:
-  Event &numU(const char *Key, uint64_t Value);
-  Event &numI(const char *Key, int64_t Value);
-  void key(const char *Key);
+protected:
+  explicit Fields(bool On) : On(On) {}
+  ~Fields() = default;
+
+  /// Writes one line: the header (event = \p Kind, t, tid, span = \p Span),
+  /// then \p Lead (pre-rendered ",\"key\":value" fields), then the fields
+  /// attached so far.
+  void write(const char *Kind, uint64_t Span, std::string_view Lead) const;
 
   bool On;
+
+private:
+  Fields &numU(const char *Key, uint64_t Value);
+  Fields &numI(const char *Key, int64_t Value);
+  void key(const char *Key);
+
   std::string Buf;
+};
+
+/// One point event, written on destruction.
+class Event : public Fields {
+public:
+  explicit Event(const char *Kind) : Fields(enabled()), Kind(Kind) {}
+  ~Event();
+
+private:
+  const char *Kind;
 };
 
 } // namespace alive::trace

@@ -353,14 +353,18 @@ UnrollResult transform::unrollLoops(Function &F, unsigned Factor) {
     LoopForest LF(G);
     if (LF.hasIrreducible()) {
       Result.HadIrreducible = true;
-      return Result;
+      break;
     }
     auto Order = LF.postOrder();
     if (Order.empty())
-      return Result;
+      break;
     Loop *L = Order.front();
     LoopUnroller U(F, *L, Factor, Result.LoopsUnrolled);
     Result.Sinks.insert(U.run());
     ++Result.LoopsUnrolled;
   }
+  ProfSpan.num("factor", Factor)
+      .num("sinks", Result.Sinks.size())
+      .flag("irreducible", Result.HadIrreducible);
+  return Result;
 }

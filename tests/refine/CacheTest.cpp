@@ -179,12 +179,13 @@ TEST(Cache, QueryLevelAloneSkipsSolverNotStages) {
   ASSERT_EQ(Warm.size(), Cold.size());
 
   // Hits go through the same staged-query record as solved queries: one
-  // record and one "query" event per query, precondition included.
-  size_t QueryEvents = 0;
+  // record and one staged_query span record per query, precondition
+  // included.
+  size_t QueryRecords = 0;
   std::istringstream In(Sink.str());
   for (std::string Line; std::getline(In, Line);)
-    if (Line.rfind("{\"event\":\"query\",", 0) == 0)
-      ++QueryEvents;
+    if (Line.rfind("{\"event\":\"staged_query\",", 0) == 0)
+      ++QueryRecords;
   size_t Records = 0;
   for (size_t I = 0; I < Warm.size(); ++I) {
     // Stages still run (so per-query stats exist), but every query is
@@ -214,7 +215,7 @@ TEST(Cache, QueryLevelAloneSkipsSolverNotStages) {
       EXPECT_TRUE(MayShare || !Q.CacheHit) << Q.Check;
     }
   }
-  EXPECT_EQ(QueryEvents, Records);
+  EXPECT_EQ(QueryRecords, Records);
 }
 
 TEST(Cache, PersistsAcrossValidators) {

@@ -15,6 +15,7 @@
 
 #include "gtest/gtest.h"
 
+#include <cstdlib>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -483,21 +484,28 @@ entry:
   }
   EXPECT_TRUE(AnySolverWork);
 
-  // The trace mirrors the run: exactly one "query" event per query, and
-  // the encode / SAT-check stages are visible too.
-  size_t QueryEvents = 0, VerdictEvents = 0;
+  // The trace mirrors the run: exactly one staged_query record per query,
+  // carrying the same conflicts as the query's record, and the encode /
+  // SAT-check stages are visible too.
+  size_t QueryRecords = 0, VerdictEvents = 0;
+  uint64_t TracedConflicts = 0;
   bool SawEncode = false, SawSatCheck = false;
   std::istringstream In(Sink.str());
   std::string Line;
   while (std::getline(In, Line)) {
-    if (Line.rfind("{\"event\":\"query\",", 0) == 0)
-      ++QueryEvents;
+    if (Line.rfind("{\"event\":\"staged_query\",", 0) == 0) {
+      ++QueryRecords;
+      size_t P = Line.find("\"conflicts\":");
+      ASSERT_NE(P, std::string::npos) << Line;
+      TracedConflicts += std::strtoull(Line.c_str() + P + 12, nullptr, 10);
+    }
     if (Line.rfind("{\"event\":\"verdict\",", 0) == 0)
       ++VerdictEvents;
     SawEncode |= Line.rfind("{\"event\":\"encode\",", 0) == 0;
     SawSatCheck |= Line.rfind("{\"event\":\"sat_check\",", 0) == 0;
   }
-  EXPECT_EQ(QueryEvents, (size_t)V.QueriesRun);
+  EXPECT_EQ(QueryRecords, (size_t)V.QueriesRun);
+  EXPECT_EQ(TracedConflicts, Conflicts);
   EXPECT_TRUE(SawEncode);
   EXPECT_TRUE(SawSatCheck);
   EXPECT_EQ(VerdictEvents, 1u);

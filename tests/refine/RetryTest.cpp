@@ -15,8 +15,13 @@
 #include "refine/Validator.h"
 #include "support/ResourceGovernor.h"
 #include "support/Stats.h"
+#include "support/Trace.h"
 
 #include "gtest/gtest.h"
+
+#include <sstream>
+#include <string>
+#include <vector>
 
 using namespace alive;
 using namespace alive::refine;
@@ -99,11 +104,28 @@ TEST(Retry, ExhaustedLadderSaysSo) {
   auto TgtM = ir::parseModuleOrDie(EasyTgt);
   Options O = ladderOpts();
   O.Retry.Multiplier = 2; // rung 1: 2ns — still strangled
+  std::ostringstream Sink;
+  trace::setStream(&Sink);
   Verdict R = Validator(O).verifyPair(*SrcM->function(0u),
                                       *TgtM->function(0u), SrcM.get());
+  trace::setStream(nullptr);
   EXPECT_EQ(R.Kind, VerdictKind::Timeout);
   EXPECT_EQ(R.Rung, 1u);
   EXPECT_EQ(R.Why, Reason::RetriesExhausted);
+
+  // One verdict event per rung; the last one carries the reason the caller
+  // sees, not the attempt's budget reason.
+  std::vector<std::string> Verdicts;
+  std::istringstream In(Sink.str());
+  for (std::string Line; std::getline(In, Line);)
+    if (Line.rfind("{\"event\":\"verdict\",", 0) == 0)
+      Verdicts.push_back(Line);
+  ASSERT_EQ(Verdicts.size(), 2u);
+  EXPECT_NE(Verdicts.back().find("\"reason\":\"retries-exhausted\""),
+            std::string::npos)
+      << Verdicts.back();
+  EXPECT_NE(Verdicts.back().find("\"rung\":1"), std::string::npos)
+      << Verdicts.back();
 }
 
 TEST(Retry, BatchLadderMatchesSinglePairLadder) {

@@ -116,14 +116,14 @@ TEST(Profile, TallyDeltasAttributeToTheOpenSpan) {
   const prof::SpanRecord *Outer = find(Rs, "outer");
   const prof::SpanRecord *Inner = find(Rs, "inner");
   ASSERT_TRUE(Outer && Inner);
-  EXPECT_EQ(Inner->Conflicts, 7u);
-  EXPECT_EQ(Inner->Rewrites, 2u);
-  EXPECT_EQ(Inner->SatChecks, 1u);
-  EXPECT_EQ(Inner->Decisions, 0u);
+  EXPECT_EQ(Inner->Delta.Conflicts, 7u);
+  EXPECT_EQ(Inner->Delta.Rewrites, 2u);
+  EXPECT_EQ(Inner->Delta.SatChecks, 1u);
+  EXPECT_EQ(Inner->Delta.Decisions, 0u);
   // Deltas are inclusive of children.
-  EXPECT_EQ(Outer->Conflicts, 10u);
-  EXPECT_EQ(Outer->Decisions, 5u);
-  EXPECT_EQ(Outer->SatChecks, 1u);
+  EXPECT_EQ(Outer->Delta.Conflicts, 10u);
+  EXPECT_EQ(Outer->Delta.Decisions, 5u);
+  EXPECT_EQ(Outer->Delta.SatChecks, 1u);
 }
 
 TEST(Profile, EffortScopesNestAndKeepThePeak) {

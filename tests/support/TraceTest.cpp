@@ -4,9 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 // Focused tests for the JSONL trace layer: jsonEscape edge cases (control
-// characters, quote/backslash runs, UTF-8 passthrough) and the mandatory
-// "tid"/"span" attribution fields every event carries since the profiling
-// subsystem landed.
+// characters, quote/backslash runs, UTF-8 passthrough), the mandatory
+// "tid"/"span" attribution fields every line carries, and the close records
+// that spans write.
 //===----------------------------------------------------------------------===//
 
 #include "support/Profile.h"
@@ -14,6 +14,7 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -123,10 +124,84 @@ TEST(TraceFields, SpanMatchesEnclosingProfSpan) {
   prof::stop();
   prof::clear();
 
+  // The point events and, between them, the span's own close record.
+  auto Ls = lines(SS);
+  ASSERT_EQ(Ls.size(), 3u);
+  EXPECT_EQ(Ls[0].rfind("{\"event\":\"inside\",", 0), 0u) << Ls[0];
+  EXPECT_NE(Ls[0].find("\"span\":" + std::to_string(Id)), std::string::npos);
+  EXPECT_EQ(Ls[1].rfind("{\"event\":\"phase_under_test\",", 0), 0u)
+      << Ls[1];
+  EXPECT_NE(Ls[1].find("\"span\":" + std::to_string(Id) + ","),
+            std::string::npos);
+  EXPECT_EQ(Ls[2].rfind("{\"event\":\"outside\",", 0), 0u) << Ls[2];
+  EXPECT_NE(Ls[2].find("\"span\":0"), std::string::npos);
+}
+
+// ---- span close records ---------------------------------------------------
+
+TEST(TraceSpans, NestedSpansWriteOneLineEachChildFirst) {
+  // Profiling off: an attached sink alone turns spans on.
+  ASSERT_FALSE(prof::enabled());
+  std::ostringstream SS;
+  trace::setStream(&SS);
+  uint64_t OuterId, InnerId;
+  {
+    prof::Span Outer("outer_phase", "f \"quoted\"");
+    OuterId = Outer.id();
+    Outer.num("pairs", 3);
+    {
+      prof::Span Inner("inner_phase");
+      InnerId = Inner.id();
+      Inner.str("result", "unsat").flag("cached", false);
+    }
+  }
+  trace::setStream(nullptr);
+  ASSERT_NE(OuterId, 0u);
+  ASSERT_NE(InnerId, 0u);
+  // Records are collected only while profiling is on.
+  EXPECT_TRUE(prof::snapshot().empty());
+
   auto Ls = lines(SS);
   ASSERT_EQ(Ls.size(), 2u);
-  EXPECT_NE(Ls[0].find("\"span\":" + std::to_string(Id)), std::string::npos);
-  EXPECT_NE(Ls[1].find("\"span\":0"), std::string::npos);
+  const std::string &In = Ls[0], &Out = Ls[1];
+  EXPECT_EQ(In.rfind("{\"event\":\"inner_phase\",", 0), 0u) << In;
+  EXPECT_EQ(Out.rfind("{\"event\":\"outer_phase\",", 0), 0u) << Out;
+  for (const std::string &L : Ls) {
+    EXPECT_EQ(std::count(L.begin(), L.end(), '{'), 1) << L;
+    EXPECT_EQ(L.back(), '}') << L;
+    EXPECT_NE(L.find("\"seconds\":"), std::string::npos) << L;
+    EXPECT_NE(L.find("\"conflicts\":0"), std::string::npos) << L;
+  }
+  EXPECT_NE(In.find("\"span\":" + std::to_string(InnerId) + ","),
+            std::string::npos)
+      << In;
+  EXPECT_NE(In.find("\"parent\":" + std::to_string(OuterId) + ","),
+            std::string::npos)
+      << In;
+  EXPECT_NE(In.find("\"result\":\"unsat\""), std::string::npos) << In;
+  EXPECT_NE(In.find("\"cached\":false"), std::string::npos) << In;
+  EXPECT_NE(Out.find("\"span\":" + std::to_string(OuterId) + ","),
+            std::string::npos)
+      << Out;
+  EXPECT_NE(Out.find("\"parent\":0,"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("\"detail\":\"f \\\"quoted\\\"\""), std::string::npos)
+      << Out;
+  EXPECT_NE(Out.find("\"pairs\":3"), std::string::npos) << Out;
+}
+
+TEST(TraceSpans, NothingWrittenWhenOff) {
+  ASSERT_FALSE(prof::enabled());
+  std::ostringstream SS;
+  trace::setStream(&SS);
+  trace::setStream(nullptr);
+  {
+    prof::Span S("ghost", "d");
+    S.num("x", 1).str("y", "z");
+    EXPECT_EQ(S.id(), 0u);
+    EXPECT_EQ(prof::currentSpanId(), 0u);
+  }
+  EXPECT_TRUE(SS.str().empty());
+  EXPECT_TRUE(prof::snapshot().empty());
 }
 
 TEST(TraceFields, TidIsStablePerThread) {

@@ -15,7 +15,7 @@
 ///   alive-fuzz [--seed N] [--runs N] [--mutations N] [--parser-runs N]
 ///              [--buggy PASS | --pipeline a,b,c] [--artifacts DIR]
 ///              [--no-reduce] [--max-candidates N] [shared refine flags]
-///              [--stats] [--trace-out FILE] [--profile] [--profile-out F]
+///              [--stats] [--trace-out FILE] [--profile-out FILE]
 ///   alive-fuzz --repro DIR        replay one saved failure
 ///
 /// Exit codes: 0 = no oracle failures (or --repro reproduced), 1 = failures
@@ -53,7 +53,7 @@ void usage() {
       "[--parser-runs N]\n"
       "                  [--buggy PASS | --pipeline a,b,c] [--artifacts DIR]\n"
       "                  [--no-reduce] [--max-candidates N] [--stats]\n"
-      "                  [--trace-out FILE] [--profile] [--profile-out FILE]\n"
+      "                  [--trace-out FILE] [--profile-out FILE]\n"
       "       alive-fuzz --repro DIR\n"
       "%s"
       "  --seed N          master seed (default 1)\n"
@@ -430,12 +430,10 @@ int main(int argc, char **argv) {
     std::printf("%s seed=%llu base=%s mutations=%zu failures=%zu\n", Label,
                 (unsigned long long)RunSeed, BaseKind, Mut.log().size(),
                 Failures.size());
-    if (trace::enabled())
-      trace::Event("fuzz_run")
-          .num("run", Run)
-          .str("base", BaseKind)
-          .num("mutations", Mut.log().size())
-          .num("failures", Failures.size());
+    Sp.num("run", Run)
+        .str("base", BaseKind)
+        .num("mutations", Mut.log().size())
+        .num("failures", Failures.size());
 
     for (const fuzz::OracleFailure &F : Failures) {
       ++TotalFailures;
@@ -458,14 +456,6 @@ int main(int argc, char **argv) {
           Detail = R.Detail;
         InitialInstrs = R.InitialInstrs;
         FinalInstrs = R.FinalInstrs;
-        if (trace::enabled())
-          trace::Event("fuzz_reduce")
-              .num("run", Run)
-              .str("oracle", F.Oracle)
-              .num("candidates", R.CandidatesTried)
-              .num("accepted", R.Accepted)
-              .num("initial_instrs", R.InitialInstrs)
-              .num("final_instrs", R.FinalInstrs);
       }
 
       std::map<std::string, std::string> Meta{

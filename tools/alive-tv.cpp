@@ -11,7 +11,7 @@
 ///            [--equivalence] [--cache-dir DIR] [--no-query-cache]
 ///            [--retry N] [--deadline DUR] [--mem-limit MB]
 ///            [--stats] [--json] [--trace-out FILE]
-///            [--profile] [--profile-out FILE] [--slow-query-ms N]
+///            [--profile-out FILE] [--slow-query-ms N]
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,8 +45,7 @@ static void usage() {
                "[--timeout SEC] [--equivalence]\n"
                "                [--cache-dir DIR] [--no-query-cache] "
                "[--stats] [--json] [--trace-out FILE]\n"
-               "                [--profile] [--profile-out FILE] "
-               "[--slow-query-ms N]\n"
+               "                [--profile-out FILE] [--slow-query-ms N]\n"
                "%s"
                "  --json           emit a machine-readable per-pair summary "
                "on stdout\n"
@@ -180,24 +179,16 @@ int main(int argc, char **argv) {
     return Obs.finish(2, Tables);
   }
   Diag Err;
-  Stopwatch ParseTimer;
-  auto SrcM = ir::parseModule(SrcText, Err);
+  auto SrcM = ir::parseModule(SrcText, Err, SrcPath);
   if (!SrcM) {
     std::fprintf(stderr, "%s: %s\n", SrcPath, Err.str().c_str());
     return Obs.finish(2, Tables);
   }
-  auto TgtM = ir::parseModule(TgtText, Err);
+  auto TgtM = ir::parseModule(TgtText, Err, TgtPath);
   if (!TgtM) {
     std::fprintf(stderr, "%s: %s\n", TgtPath, Err.str().c_str());
     return Obs.finish(2, Tables);
   }
-  if (trace::enabled())
-    trace::Event("parse")
-        .str("src", SrcPath)
-        .str("tgt", TgtPath)
-        .num("seconds", ParseTimer.seconds())
-        .num("src_bytes", SrcText.size())
-        .num("tgt_bytes", TgtText.size());
 
   refine::Validator Validator(Opts);
   auto Results = Validator.verifyModules(*SrcM, *TgtM, Jobs);
@@ -208,7 +199,8 @@ int main(int argc, char **argv) {
                  CacheErr.c_str());
   int Failures = 0;
   if (Json) {
-    std::printf("{\n  \"src\": \"%s\",\n  \"tgt\": \"%s\",\n  \"pairs\": [\n",
+    std::printf("{\n  \"schema\": 2,\n  \"src\": \"%s\",\n  \"tgt\": \"%s\",\n"
+                "  \"pairs\": [\n",
                 trace::jsonEscape(SrcPath).c_str(),
                 trace::jsonEscape(TgtPath).c_str());
     bool First = true;

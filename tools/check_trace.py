@@ -3,10 +3,15 @@
 
 Two artifact kinds, both produced by alive-tv:
 
-  --jsonl FILE   a JSONL pipeline trace (--trace-out): every line must be a
-                 flat JSON object carrying the mandatory "event", "t" and
-                 "tid" fields (and "span" since the profiling subsystem);
-                 values must be scalars (nesting is unsupported by design).
+  --jsonl FILE   a JSONL trace (--trace-out): every line must be a flat
+                 JSON object carrying the mandatory "event", "t", "tid" and
+                 "span" fields; values must be scalars (nesting is
+                 unsupported by design). Span close records (the lines with
+                 a "parent") need a numeric "seconds" >= 0 and a "span" id
+                 unique in the file, and their "parent" must be 0 or the id
+                 of a span whose record comes later (a parent closes after
+                 its children). The staged_query records must number the
+                 queries_run of the verdict events that ran (not cached).
 
   --chrome FILE  a Chrome trace-event profile (--profile-out): the document
                  must hold a "traceEvents" list whose entries carry the
@@ -68,8 +73,46 @@ def check_event_fields(path, lineno, obj, errors):
                      f"'{key}'")
 
 
+def check_spans(path, spans, errors):
+    """Span close records: positive-duration, unique ids, and each parent a
+    span that closes later in the file (0 = top level)."""
+    first_line = {}
+    for lineno, obj in spans:
+        where = f"{path}:{lineno}"
+        seconds = obj.get("seconds")
+        if not isinstance(seconds, (int, float)) or seconds < 0:
+            fail(errors, f"{where}: span record needs numeric 'seconds' >= 0")
+        sid = obj.get("span")
+        if not isinstance(sid, int) or sid <= 0:
+            fail(errors, f"{where}: span record needs a positive 'span' id")
+        elif sid in first_line:
+            fail(errors, f"{where}: span id {sid} already closed at line "
+                 f"{first_line[sid]}")
+        else:
+            first_line[sid] = lineno
+    for lineno, obj in spans:
+        parent = obj.get("parent")
+        if parent == 0:
+            continue
+        if not isinstance(parent, int) or first_line.get(parent, 0) <= lineno:
+            fail(errors, f"{path}:{lineno}: 'parent' {parent!r} is neither 0 "
+                 "nor a span whose record comes later")
+
+
+def check_query_count(path, records, errors):
+    """One staged_query record per query the verdicts say ran; a pair-cache
+    hit replays queries_run without running a query."""
+    staged = sum(1 for obj in records if obj.get("event") == "staged_query")
+    ran = sum(obj.get("queries_run", 0) for obj in records
+              if obj.get("event") == "verdict" and not obj.get("cached"))
+    if staged != ran:
+        fail(errors, f"{path}: {staged} staged_query records, but the "
+             f"verdict events ran {ran} queries")
+
+
 def check_jsonl(path, errors):
     events = 0
+    records, spans = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -94,7 +137,7 @@ def check_jsonl(path, errors):
                 fail(errors, f"{path}:{lineno}: 't' must be a number")
             if not isinstance(obj.get("tid"), int):
                 fail(errors, f"{path}:{lineno}: 'tid' must be an integer")
-            if "span" in obj and not isinstance(obj["span"], int):
+            if not isinstance(obj.get("span"), int):
                 fail(errors, f"{path}:{lineno}: 'span' must be an integer")
             for key, value in obj.items():
                 if isinstance(value, (dict, list)):
@@ -102,8 +145,13 @@ def check_jsonl(path, errors):
                          f"{path}:{lineno}: nested value under '{key}' "
                          "(trace values must be flat scalars)")
             check_event_fields(path, lineno, obj, errors)
+            records.append(obj)
+            if "parent" in obj:
+                spans.append((lineno, obj))
     if events == 0:
         fail(errors, f"{path}: no events")
+    check_spans(path, spans, errors)
+    check_query_count(path, records, errors)
     return events
 
 
