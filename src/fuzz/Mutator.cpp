@@ -18,6 +18,10 @@ using namespace alive;
 using namespace alive::fuzz;
 using namespace alive::ir;
 
+ALIVE_STAT_COUNTER(CtrApplied, "fuzz.mutations.applied");
+ALIVE_STAT_COUNTER(CtrRolledBack, "fuzz.mutations.rolled_back");
+ALIVE_STAT_COUNTER(CtrText, "fuzz.mutations.text");
+
 const char *fuzz::toString(MutationKind K) {
   switch (K) {
   case MutationKind::ConstantPerturb:
@@ -392,9 +396,6 @@ std::optional<Mutation> applyOne(Function &F, Rng &R,
 
 std::string Mutator::mutate(const std::string &ModuleIR,
                             unsigned MaxMutations) {
-  ALIVE_STAT_COUNTER(CtrApplied, "fuzz.mutations.applied");
-  ALIVE_STAT_COUNTER(CtrRolledBack, "fuzz.mutations.rolled_back");
-
   Diag Err;
   auto M = parseModule(ModuleIR, Err);
   if (!M || !lastDefined(*M))
@@ -429,7 +430,6 @@ std::string Mutator::mutate(const std::string &ModuleIR,
 }
 
 std::string Mutator::mutateText(const std::string &Text) {
-  ALIVE_STAT_COUNTER(CtrText, "fuzz.mutations.text");
   static const char Charset[] =
       "()[]{}<>,=%@:*;x0123456789abcdefinoprstuvw \n";
   static const char *Tokens[] = {"define", "i32",   "i999999999999",

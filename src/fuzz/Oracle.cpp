@@ -18,6 +18,10 @@
 using namespace alive;
 using namespace alive::fuzz;
 
+ALIVE_STAT_COUNTER(CtrVerify, "fuzz.oracle.verifications");
+ALIVE_STAT_COUNTER(CtrChecks, "fuzz.oracle.checks");
+ALIVE_STAT_COUNTER(CtrFails, "fuzz.oracle.failures");
+
 namespace {
 
 const ir::Function *lastDefined(const ir::Module &M) {
@@ -71,7 +75,6 @@ std::string Oracle::deriveTarget(const std::string &SrcIR) {
 refine::Verdict Oracle::verify(const std::string &SrcIR,
                                const std::string &TgtIR,
                                const refine::Options &Opts, unsigned Jobs) {
-  ALIVE_STAT_COUNTER(CtrVerify, "fuzz.oracle.verifications");
   CtrVerify.inc();
 
   refine::Verdict V; // Kind defaults to Failed
@@ -257,8 +260,6 @@ bool Oracle::checkUnrollMonotonic(const std::string &Src,
 }
 
 std::vector<OracleFailure> Oracle::run(const std::string &SrcIR) {
-  ALIVE_STAT_COUNTER(CtrChecks, "fuzz.oracle.checks");
-  ALIVE_STAT_COUNTER(CtrFails, "fuzz.oracle.failures");
   prof::Span Sp("fuzz_oracle_run");
 
   std::vector<OracleFailure> Out;

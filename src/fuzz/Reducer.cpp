@@ -19,6 +19,10 @@ using namespace alive;
 using namespace alive::fuzz;
 using namespace alive::ir;
 
+ALIVE_STAT_COUNTER(CtrCands, "fuzz.reduce.candidates");
+ALIVE_STAT_COUNTER(CtrAccepted, "fuzz.reduce.accepted");
+ALIVE_STAT_COUNTER(CtrTextProbes, "fuzz.reduce.text_probes");
+
 namespace {
 
 Function *lastDefined(Module &M) {
@@ -193,8 +197,6 @@ ReduceResult Reducer::reduce(const std::string &OracleName,
 
 ReduceResult Reducer::shrink(const std::string &OracleName,
                              const std::string &SrcIR) {
-  ALIVE_STAT_COUNTER(CtrCands, "fuzz.reduce.candidates");
-  ALIVE_STAT_COUNTER(CtrAccepted, "fuzz.reduce.accepted");
   ReduceResult Res;
   Res.Oracle = OracleName;
   Res.SrcIR = SrcIR;
@@ -264,7 +266,6 @@ std::string Reducer::reduceText(
     const std::string &Text,
     const std::function<bool(const std::string &)> &StillFails,
     unsigned MaxProbes) {
-  ALIVE_STAT_COUNTER(CtrTextProbes, "fuzz.reduce.text_probes");
   std::string Cur = Text;
   unsigned Probes = 0;
   size_t Chunk = Cur.size() / 2;

@@ -86,6 +86,42 @@ std::string renderCounterexample(const Model &M, const Function &SrcF) {
   return Out;
 }
 
+/// The instantiation seed that pairs the inner source copy \p Inner with
+/// \p Other by choice origin. Only live choices count: those of \p Inner
+/// that occur in the inner formula (\p InPhi) and those of \p Other that
+/// occur in the outer constraints (\p InOuter); most choices are refresh
+/// placeholders that no formula mentions. Within one origin the i-th live
+/// inner choice maps to the i-th live choice of \p Other, clipped to the
+/// last one; a choice with no partner of its width maps to zero.
+EFQuery::Seed originSeed(const FunctionEncoding &Inner,
+                         const std::unordered_set<ExprId> &InPhi,
+                         const FunctionEncoding &Other,
+                         const std::unordered_set<ExprId> &InOuter,
+                         const std::string &OtherTag) {
+  std::unordered_map<std::string, std::vector<Expr>> Live;
+  for (const Choice &C : Other.Choices)
+    if (InOuter.count(C.Var.id()))
+      Live[C.Origin].push_back(C.Var);
+  std::unordered_map<std::string, size_t> Rank;
+  EFQuery::Seed S;
+  for (const Choice &C : Inner.Choices) {
+    if (!InPhi.count(C.Var.id()))
+      continue;
+    size_t R = Rank[C.Origin]++;
+    unsigned W = C.Var.width(); // 0 for a Bool
+    Expr To = W == 0 ? mkFalse() : mkBV(W, 0);
+    auto It = Live.find(C.Origin);
+    if (It != Live.end()) {
+      Expr Cand = It->second[std::min(R, It->second.size() - 1)];
+      if (Cand.width() == W)
+        To = Cand;
+    }
+    S.VarMap[C.Var.id()] = To;
+  }
+  S.AppRenames = {{"localinit.srcI", "localinit." + OtherTag}};
+  return S;
+}
+
 /// What one staged query found, solved or replayed from the query cache.
 struct QueryAnswer {
   QueryResult Result = QueryResult::Unknown;
@@ -121,7 +157,6 @@ private:
   FunctionEncoding Src, SrcI, Tgt;
   std::vector<Expr> OuterBase;
   Expr PhiBase = mkTrue();
-  std::vector<EFQuery::Seed> Seeds;
   /// One record per query run so far; moved into the Verdict.
   std::vector<QueryStats> QStats;
 
@@ -233,8 +268,17 @@ RefinementCheck::runQuery(const std::string &CheckName,
   Q.Inner = mkAnd(PhiBase, ExtraPhi);
   Q.InnerVars = SrcI.NondetVars;
   Q.InnerAppPrefixes = {"localinit.srcI"};
-  if (Opts.UseInstantiationSeeds)
-    Q.Seeds = Seeds;
+  if (Opts.UseInstantiationSeeds) {
+    // Symbolic instantiations of the universal, one per outer copy: the
+    // premise source copy and the target. They only add instances, so they
+    // speed the CEGIS loop up without changing its answer.
+    std::unordered_set<ExprId> InPhi, InOuter;
+    collectVars(Q.Inner, InPhi);
+    for (Expr E : Q.Outer)
+      collectVars(E, InOuter);
+    Q.Seeds = {originSeed(SrcI, InPhi, Src, InOuter, "src"),
+               originSeed(SrcI, InPhi, Tgt, InOuter, "tgt")};
+  }
   Q.DeriveEquationDefs = Opts.UseInstantiationSeeds;
   for (const auto &N : Src.ApproxFnNames)
     Q.AvoidAppPrefixes.push_back(N);
@@ -333,49 +377,6 @@ Verdict RefinementCheck::run() {
   PhiBase = mkAnd(PhiBase, mkNot(SrcI.SinkDomain));
   for (Expr A : SrcI.Axioms)
     PhiBase = mkAnd(PhiBase, A);
-
-  // Symbolic quantifier-instantiation seeds: align the inner source copy's
-  // nondeterminism with (a) the premise source copy and (b) the target, by
-  // creation order. Unmatched variables instantiate to zero. Seeds are
-  // heuristic accelerators; the CEGIS loop remains the completeness
-  // fallback.
-  auto makeSeed = [this](const FunctionEncoding &Other, const char *OtherTag,
-                         bool AlignEnd) {
-    EFQuery::Seed S;
-    size_t LenS = SrcI.NondetOrder.size();
-    size_t LenO = Other.NondetOrder.size();
-    for (size_t I = 0; I < LenS; ++I) {
-      Expr From = SrcI.NondetOrder[I];
-      unsigned W = From.isBool() ? 0 : From.width();
-      Expr To;
-      // Front alignment pairs the i-th nondeterministic choice of each
-      // side; end alignment pairs the final reads (robust when the target
-      // dropped instructions, e.g. after DCE).
-      size_t J = I;
-      bool InRange = I < LenO;
-      if (AlignEnd) {
-        InRange = LenS - I <= LenO;
-        if (InRange)
-          J = LenO - (LenS - I);
-      }
-      if (InRange) {
-        Expr Cand = Other.NondetOrder[J];
-        unsigned CW = Cand.isBool() ? 0 : Cand.width();
-        if (CW == W)
-          To = Cand;
-      }
-      if (!To.isValid())
-        To = W == 0 ? mkFalse() : mkBV(W, 0);
-      S.VarMap[From.id()] = To;
-    }
-    S.AppRenames = {{"localinit.srcI", std::string("localinit.") +
-                                             OtherTag}};
-    return S;
-  };
-  Seeds.push_back(makeSeed(Src, "src", false));
-  Seeds.push_back(makeSeed(Tgt, "tgt", false));
-  if (SrcI.NondetOrder.size() != Tgt.NondetOrder.size())
-    Seeds.push_back(makeSeed(Tgt, "tgt", true));
 
   // Step 1: the preconditions must not be vacuously false. The query is a
   // plain conjunction, so its cache key is the order-independent

@@ -21,6 +21,12 @@
 using namespace alive;
 using namespace alive::refine;
 
+ALIVE_STAT_COUNTER(RetryExhausted, "retry.exhausted");
+ALIVE_STAT_COUNTER(RetryResolved, "retry.resolved");
+ALIVE_STAT_COUNTER(RetryRequeued, "retry.requeued");
+ALIVE_STAT_COUNTER(DeadlineSkipped, "deadline.skipped");
+ALIVE_STAT_COUNTER(RetryAttempts, "retry.attempts");
+
 void BatchSummary::countVerdict(const Verdict &V) {
   ++Pairs;
   switch (V.Kind) {
@@ -169,11 +175,9 @@ void Validator::finalizeVerdict(Verdict &V, unsigned Rung) const {
        V.Kind == VerdictKind::OutOfMemory) &&
       Rung >= Opts.Retry.MaxRungs && BudgetShaped) {
     V.Why = Reason::RetriesExhausted;
-    ALIVE_STAT_COUNTER(Exhausted, "retry.exhausted");
-    Exhausted.inc();
+    RetryExhausted.inc();
   } else if (Rung > 0) {
-    ALIVE_STAT_COUNTER(Resolved, "retry.resolved");
-    Resolved.inc();
+    RetryResolved.inc();
   }
 }
 
@@ -186,8 +190,7 @@ bool Validator::ladderStep(const ir::Function &Src, const ir::Function &Tgt,
   V.CumulativeSeconds = Cum;
   bool Retry = shouldRetry(V, Rung);
   if (Retry) {
-    ALIVE_STAT_COUNTER(Requeued, "retry.requeued");
-    Requeued.inc();
+    RetryRequeued.inc();
   } else {
     finalizeVerdict(V, Rung);
   }
@@ -207,8 +210,7 @@ Verdict Validator::runAttempt(const ir::Function &Src,
                               const ir::Function &Tgt, const ir::Module *M,
                               unsigned Rung) {
   if (Gov && Gov->deadlineExpired()) {
-    ALIVE_STAT_COUNTER(Skipped, "deadline.skipped");
-    Skipped.inc();
+    DeadlineSkipped.inc();
     Verdict V;
     V.Kind = VerdictKind::DeadlineSkipped;
     V.Why = Reason::DeadlineSkipped;
@@ -237,8 +239,7 @@ Verdict Validator::runAttempt(const ir::Function &Src,
 
   std::optional<prof::Span> RetrySpan;
   if (Rung > 0) {
-    ALIVE_STAT_COUNTER(Attempts, "retry.attempts");
-    Attempts.inc();
+    RetryAttempts.inc();
     RetrySpan.emplace("retry_attempt", Src.name());
   }
 

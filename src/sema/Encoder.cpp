@@ -17,6 +17,10 @@ using namespace alive::sema;
 using namespace alive::smt;
 using namespace alive::ir;
 
+ALIVE_STAT_COUNTER(UbConds, "encode.ub_conditions");
+ALIVE_STAT_COUNTER(Approx, "encode.approx_marks");
+ALIVE_STAT_COUNTER(Instrs, "encode.instructions");
+
 namespace {
 
 /// Lane width in the SMT encoding (pointers widen to bid+offset bits).
@@ -114,18 +118,26 @@ private:
 
   struct Template {
     EncodedValue V;
-    std::vector<Expr> RefreshVars;
+    std::vector<Choice> RefreshVars;
   };
   std::unordered_map<const Value *, Template> Regs;
   std::unordered_map<const BasicBlock *, Expr> Dom;
   /// Per-edge condition (Pred, Succ) -> Bool (without Dom(Pred)).
   std::map<std::pair<const BasicBlock *, const BasicBlock *>, Expr> EdgeCond;
 
-  Expr freshNondet(const std::string &What, unsigned Width) {
-    Expr V = mkFreshVar(Opts.Tag + "." + What, Width);
-    Out.NondetVars.insert(V.id());
-    Out.NondetOrder.push_back(V);
-    return V;
+  /// Per-kind creation counts, the ordinal of an origin-less choice.
+  std::unordered_map<std::string, unsigned> KindOrdinal;
+
+  /// A fresh choice of kind \p What; an empty \p Origin means
+  /// "<kind>#<ordinal>" (see Choice::Origin).
+  Choice freshNondet(const std::string &What, unsigned Width,
+                     std::string Origin = {}) {
+    if (Origin.empty())
+      Origin = What + "#" + std::to_string(KindOrdinal[What]++);
+    Choice C{mkFreshVar(Opts.Tag + "." + What, Width), std::move(Origin)};
+    Out.NondetVars.insert(C.Var.id());
+    Out.Choices.push_back(C);
+    return C;
   }
   Expr sharedInput(const std::string &Name, unsigned Width) {
     Expr V = mkVar(Name, Width);
@@ -135,12 +147,10 @@ private:
   void addUB(Expr DomE, Expr Cond) {
     if (Opts.IgnoreUB)
       return;
-    ALIVE_STAT_COUNTER(UbConds, "encode.ub_conditions");
     UbConds.inc();
     Out.UB = mkOr(Out.UB, mkAnd(DomE, Cond));
   }
   void markApprox(const std::string &FnName, const std::string &Note) {
-    ALIVE_STAT_COUNTER(Approx, "encode.approx_marks");
     Approx.inc();
     Out.ApproxFnNames.insert(FnName);
     Out.ApproxNotes.push_back(Note);
@@ -166,7 +176,7 @@ private:
   }
 
   /// Reads an operand, refreshing its undef instances (Section 3.3).
-  EncodedValue read(const Value *V, std::vector<Expr> *FreshOut = nullptr);
+  EncodedValue read(const Value *V, std::vector<Choice> *FreshOut = nullptr);
   Template encodeConstant(const Value *V);
   Template encodeArgument(const Argument *A, unsigned Index);
 
@@ -198,7 +208,7 @@ private:
 // Operand reading
 //===----------------------------------------------------------------------===//
 
-EncodedValue Encoder::read(const Value *V, std::vector<Expr> *FreshOut) {
+EncodedValue Encoder::read(const Value *V, std::vector<Choice> *FreshOut) {
   auto It = Regs.find(V);
   if (It == Regs.end()) {
     assert(!V->isInstr() && "instruction read before encoding (not RPO?)");
@@ -209,13 +219,14 @@ EncodedValue Encoder::read(const Value *V, std::vector<Expr> *FreshOut) {
   if (T.RefreshVars.empty() || Opts.IgnoreUB)
     return T.V;
   // Substitute every undef instance with a fresh variable: each observation
-  // of an undef value may differ (Section 3.3).
+  // of an undef value may differ (Section 3.3). A copy keeps the origin
+  // of the instance it replaces.
   std::unordered_map<ExprId, Expr> Map;
-  for (Expr Old : T.RefreshVars) {
-    Expr Fresh = freshNondet("undef", Old.isBool() ? 0 : Old.width());
-    Map[Old.id()] = Fresh;
+  for (const Choice &Old : T.RefreshVars) {
+    Choice Fresh = freshNondet("undef", Old.Var.width(), Old.Origin);
+    Map[Old.Var.id()] = Fresh.Var;
     if (FreshOut)
-      FreshOut->push_back(Fresh);
+      FreshOut->push_back(std::move(Fresh));
   }
   EncodedValue R = T.V;
   for (StateValue &SV : R.Elems) {
@@ -241,9 +252,9 @@ Encoder::Template Encoder::encodeConstant(const Value *V) {
     return T;
   case ValueKind::Undef: {
     for (unsigned I = 0; I < numLanes(Ty); ++I) {
-      Expr U = freshNondet("undef", laneWidth(L, laneType(Ty, I)));
-      T.V.Elems.push_back(StateValue(U, mkTrue(), mkTrue()));
-      T.RefreshVars.push_back(U);
+      Choice U = freshNondet("undef", laneWidth(L, laneType(Ty, I)));
+      T.V.Elems.push_back(StateValue(U.Var, mkTrue(), mkTrue()));
+      T.RefreshVars.push_back(std::move(U));
     }
     return T;
   }
@@ -257,8 +268,8 @@ Encoder::Template Encoder::encodeConstant(const Value *V) {
       Template ET = encodeConstant(E);
       for (StateValue &SV : ET.V.Elems)
         T.V.Elems.push_back(SV);
-      for (Expr R : ET.RefreshVars)
-        T.RefreshVars.push_back(R);
+      for (Choice &R : ET.RefreshVars)
+        T.RefreshVars.push_back(std::move(R));
     }
     return T;
   }
@@ -290,9 +301,10 @@ Encoder::Template Encoder::encodeArgument(const Argument *A, unsigned Index) {
     }
     Expr IsPoison = sharedInput(Base + ".poison", 0);
     Expr IsUndef = sharedInput(Base + ".undef", 0);
-    Expr UndefInst = freshNondet("undef", W);
-    T.RefreshVars.push_back(UndefInst);
-    StateValue SV(mkIte(IsUndef, UndefInst, Val), mkNot(IsPoison), IsUndef);
+    Choice UndefInst = freshNondet("undef", W, Base);
+    StateValue SV(mkIte(IsUndef, UndefInst.Var, Val), mkNot(IsPoison),
+                  IsUndef);
+    T.RefreshVars.push_back(std::move(UndefInst));
     T.V.Elems.push_back(SV);
 
     if (LT->isPtr()) {
@@ -492,7 +504,7 @@ StateValue Encoder::encodeFBinOpLane(const FBinOp &B, const StateValue &A,
                          mkNot(FS.isInf(Val))));
   if (FMF.NSZ) {
     // The sign of a zero result is chosen nondeterministically.
-    Expr Pick = freshNondet("nsz", 0);
+    Expr Pick = freshNondet("nsz", 0).Var;
     Val = mkIte(FS.isZero(Val), mkIte(Pick, FS.posZero(), FS.negZero()), Val);
   }
   if (Opts.IgnoreUB)
@@ -633,7 +645,6 @@ Encoder::Template Encoder::encodeCall(const Call &C, Expr DomE) {
     auto *Len = dyn_cast<ConstInt>(C.op(2));
     if (Len && Len->value().fitsU64() && Len->value().low64() <= 64) {
       uint64_t N = Len->value().low64();
-      std::vector<Expr> Fresh;
       EncodedValue DstV = read(C.op(0), &T.RefreshVars);
       const StateValue &Dst = DstV.scalar();
       addUB(DomE, mkOr(mkOr(mkNot(Dst.NonPoison), Dst.IsUndef),
@@ -826,8 +837,7 @@ Encoder::Template Encoder::encodeCall(const Call &C, Expr DomE) {
 
 Encoder::Template Encoder::encodeLoad(const Load &Ld, Expr DomE) {
   Template T;
-  std::vector<Expr> Fresh;
-  EncodedValue PtrV = read(Ld.ptr(), &Fresh);
+  EncodedValue PtrV = read(Ld.ptr());
   const StateValue &P = PtrV.scalar();
   unsigned Size = Ld.type()->storeSize();
   addUB(DomE, mkOr(mkOr(mkNot(P.NonPoison), P.IsUndef),
@@ -954,9 +964,9 @@ Encoder::Template Encoder::encodeInstr(const Instr &I, Expr DomE) {
     EncodedValue A = read(I.op(0));
     for (unsigned Lane = 0; Lane < A.numElems(); ++Lane) {
       const StateValue &SV = A.Elems[Lane];
-      Expr Choice = freshNondet("freeze", SV.Val.width());
+      Expr Pick = freshNondet("freeze", SV.Val.width()).Var;
       T.V.Elems.push_back(StateValue::defined(
-          Opts.IgnoreUB ? SV.Val : mkIte(SV.NonPoison, SV.Val, Choice)));
+          Opts.IgnoreUB ? SV.Val : mkIte(SV.NonPoison, SV.Val, Pick)));
     }
     return T;
   }
@@ -991,8 +1001,8 @@ Encoder::Template Encoder::encodeInstr(const Instr &I, Expr DomE) {
         Expr V = A.Elems[Lane].Val;
         if (LT->isFP() && !DstTy->isFP()) {
           FloatSema FS(LT);
-          Expr Mant = freshNondet("nanbits", FS.ManW);
-          Expr Sign = freshNondet("nansign", 1);
+          Expr Mant = freshNondet("nanbits", FS.ManW).Var;
+          Expr Sign = freshNondet("nansign", 1).Var;
           Expr NaNPattern = mkConcat(
               mkConcat(Sign, mkBV(BitVec::allOnes(FS.ExpW))),
               mkBVOr(Mant, mkBV(BitVec(FS.ManW, 1).shl(
@@ -1118,9 +1128,9 @@ Encoder::Template Encoder::encodeInstr(const Instr &I, Expr DomE) {
         // Undef mask lane -> undef element (the Section 8.3 resolution:
         // no poison propagation from an undef mask).
         unsigned W = laneWidth(L, I.type()->elementType());
-        Expr U = freshNondet("undef", W);
-        T.RefreshVars.push_back(U);
-        T.V.Elems.push_back({U, mkTrue(), mkTrue()});
+        Choice U = freshNondet("undef", W);
+        T.V.Elems.push_back({U.Var, mkTrue(), mkTrue()});
+        T.RefreshVars.push_back(std::move(U));
       } else if ((unsigned)M < N) {
         T.V.Elems.push_back(V1.Elems[M]);
       } else {
@@ -1186,7 +1196,6 @@ void Encoder::encodeBlock(const BasicBlock *BB, const analysis::Cfg &G) {
 
   for (const auto &IP : *BB) {
     const Instr *I = IP.get();
-    ALIVE_STAT_COUNTER(Instrs, "encode.instructions");
     Instrs.inc();
     switch (I->kind()) {
     case ValueKind::Phi: {
@@ -1317,9 +1326,10 @@ FunctionEncoding Encoder::run() {
   // layer binds them on the right side of the quantifier alternation.
   for (unsigned Slot = 0; Slot < L.numLocalSlots(); ++Slot) {
     unsigned Bid = L.firstLocalBid() + Slot;
-    Expr V = mkVar("blocksize." + std::to_string(Bid) + "." + Opts.Tag, 64);
+    std::string Origin = "blocksize." + std::to_string(Bid);
+    Expr V = mkVar(Origin + "." + Opts.Tag, 64);
     Out.NondetVars.insert(V.id());
-    Out.NondetOrder.push_back(V);
+    Out.Choices.push_back({V, std::move(Origin)});
   }
 
   for (unsigned I = 0; I < F.numArgs(); ++I)

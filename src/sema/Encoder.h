@@ -16,7 +16,7 @@
 /// memory applications are inputs I (common to both functions); variables
 /// registered in FunctionEncoding::NondetVars are that side's
 /// nondeterminism N (undef instances, freeze picks, NaN bit patterns, nsz
-/// zero signs).
+/// zero signs, and the side-tagged local block sizes).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,6 +47,19 @@ struct CallRecord {
   std::vector<smt::Expr> Args; // flattened values and poison flags
 };
 
+/// One nondeterministic choice and where it comes from. Choices of two
+/// encodings with the same origin stand for the same source of
+/// nondeterminism, which the refinement layer uses to seed instantiations.
+struct Choice {
+  smt::Expr Var;
+  /// "in.<arg>.<lane>" for an argument's undef instance, "blocksize.<bid>"
+  /// for a local block size, otherwise "<kind>#<ordinal>" (undef, freeze,
+  /// nsz, nanbits, nansign) counted per kind in creation order. A copy
+  /// made by the per-use undef refresh keeps the origin of the instance it
+  /// replaces.
+  std::string Origin;
+};
+
 /// The result of encoding a function.
 struct FunctionEncoding {
   bool Valid = true;
@@ -71,9 +84,9 @@ struct FunctionEncoding {
   std::vector<CallRecord> Calls;
 
   std::unordered_set<smt::ExprId> NondetVars;
-  /// The same variables in creation order (used to align the inner source
-  /// copy's nondeterminism with the target's / premise copy's for seeding).
-  std::vector<smt::Expr> NondetOrder;
+  /// The same variables with their origins, in creation order. Most are
+  /// refresh placeholders that no formula mentions.
+  std::vector<Choice> Choices;
   /// Shared input variables (arguments etc).
   std::unordered_set<smt::ExprId> InputVars;
   /// Uninterpreted-function names whose presence in a counterexample means

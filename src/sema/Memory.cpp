@@ -17,6 +17,10 @@ using namespace alive::smt;
 using ir::Function;
 using ir::Module;
 
+ALIVE_STAT_COUNTER(Stores, "memory.store_bytes");
+ALIVE_STAT_COUNTER(Havocs, "memory.havocs");
+ALIVE_STAT_COUNTER(Loads, "memory.load_bytes");
+
 //===----------------------------------------------------------------------===//
 // MemoryLayout
 //===----------------------------------------------------------------------===//
@@ -205,13 +209,11 @@ Expr Memory::accessOk(Expr Ptr, unsigned Bytes, bool IsWrite) const {
 }
 
 void Memory::storeByte(Expr Cond, Expr Addr, Expr Byte) {
-  ALIVE_STAT_COUNTER(Stores, "memory.store_bytes");
   Stores.inc();
   Chain.push_back({false, Cond, Addr, Byte, nullptr});
 }
 
 void Memory::appendHavoc(Expr Cond, std::function<Expr(Expr)> ByteFn) {
-  ALIVE_STAT_COUNTER(Havocs, "memory.havocs");
   Havocs.inc();
   Chain.push_back({true, Cond, Expr(), Expr(), std::move(ByteFn)});
 }
@@ -230,7 +232,6 @@ Expr Memory::initialByte(Expr Addr) const {
 }
 
 Expr Memory::loadByte(Expr Addr) const {
-  ALIVE_STAT_COUNTER(Loads, "memory.load_bytes");
   Loads.inc();
   Expr R = initialByte(Addr);
   for (const Elem &E : Chain) {

@@ -16,6 +16,9 @@
 using namespace alive;
 using namespace alive::smt;
 
+ALIVE_STAT_COUNTER(SeedsSkipped, "ef.seeds_skipped");
+ALIVE_STAT_COUNTER(SeedsAccepted, "ef.seeds_accepted");
+
 namespace {
 
 /// Replaces every App in the query with a fresh variable, adding congruence
@@ -362,7 +365,6 @@ EFOutcome search(const EFQuery &Query, const SolverBudget &Budget,
     Expr Inst = substitute(Phi, S.VarMap);
     Inst = renameApps(Inst, S.AppRenames);
     if (mentionsAnyVar(Inst, InnerVars)) {
-      ALIVE_STAT_COUNTER(SeedsSkipped, "ef.seeds_skipped");
       SeedsSkipped.inc();
       continue; // partial instantiation would be unsound; skip
     }
@@ -374,11 +376,9 @@ EFOutcome search(const EFQuery &Query, const SolverBudget &Budget,
         InnerAppLeft |=
             ExprCtx::get().node(A).Name.rfind(P, 0) == 0;
     if (InnerAppLeft) {
-      ALIVE_STAT_COUNTER(SeedsSkipped, "ef.seeds_skipped");
       SeedsSkipped.inc();
       continue;
     }
-    ALIVE_STAT_COUNTER(SeedsAccepted, "ef.seeds_accepted");
     SeedsAccepted.inc();
     ++Accepted;
     Outer.push_back(mkNot(Inst));
@@ -518,6 +518,7 @@ EFOutcome search(const EFQuery &Query, const SolverBudget &Budget,
         InnerSubst[V] = Var.isBool() ? mkBool(!Val.isZero()) : mkBV(Val);
       }
       InstBlockings.push_back(mkNot(substitute(Phi, InnerSubst)));
+      Out.Instantiations = InstBlockings.size();
     }
     return Phase::Exhausted;
   };
@@ -580,6 +581,7 @@ EFOutcome smt::solveExistsForall(const EFQuery &Query,
   EFOutcome Out = search(Query, Budget, ProfSpan);
   ProfSpan.str("result", toString(Out.Res))
       .num("iterations", Out.Iterations)
+      .num("instantiations", Out.Instantiations)
       .flag("approx_involved", Out.ApproxInvolved);
   return Out;
 }

@@ -72,6 +72,9 @@ struct EFOutcome {
   Model InnerM;
   Reason UnknownReason = Reason::None;
   unsigned Iterations = 0;
+  /// Instantiations of the universal added from inner witnesses (one per
+  /// spurious candidate; the seeds are not counted).
+  unsigned Instantiations = 0;
   /// True when Res == Sat but the model's support includes an avoided
   /// (over-approximated) application: report as unsupported, not as a bug.
   bool ApproxInvolved = false;

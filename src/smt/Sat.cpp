@@ -16,6 +16,9 @@
 using namespace alive;
 using namespace alive::smt;
 
+ALIVE_STAT_COUNTER(SatLearned, "sat.learned_clauses");
+ALIVE_STAT_COUNTER(SatReductions, "sat.db_reductions");
+
 SatSolver::SatSolver() = default;
 SatSolver::~SatSolver() = default;
 
@@ -379,13 +382,8 @@ SatStatus SatSolver::solve(const SatLimits &Limits) {
     Stopwatch Timer{};
     ~StatFlusher() {
       // Clause-database churn has no tally field: process totals only.
-      struct Handles {
-        stats::Counter Learned = stats::counter("sat.learned_clauses");
-        stats::Counter Reductions = stats::counter("sat.db_reductions");
-      };
-      static Handles H;
-      H.Learned.inc(S.LearnedClauses - L0);
-      H.Reductions.inc(S.DbReductions - Red0);
+      SatLearned.inc(S.LearnedClauses - L0);
+      SatReductions.inc(S.DbReductions - Red0);
       // Plain adds, so span attribution stays exact under -j N (a pair
       // never migrates between threads).
       prof::Tally &T = prof::tally();

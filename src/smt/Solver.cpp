@@ -15,6 +15,11 @@
 using namespace alive;
 using namespace alive::smt;
 
+ALIVE_STAT_COUNTER(AckAxioms, "solver.ack_axioms");
+ALIVE_STAT_COUNTER(BlastClauses, "bitblast.clauses");
+ALIVE_STAT_COUNTER(BlastVars, "bitblast.vars");
+ALIVE_STAT_COUNTER(BlastHits, "bitblast.cache_hits");
+
 Solver::Solver()
     : Sat(std::make_unique<SatSolver>()),
       Blaster(std::make_unique<BitBlaster>(*Sat)) {}
@@ -66,7 +71,6 @@ Expr Solver::ackermannize(Expr E) {
         ArgsEq = mkAnd(ArgsEq, mkEq(Prev.Args[I], Args[I]));
       Expr Axiom = mkImplies(ArgsEq, mkEq(Prev.ResultVar, ResVar));
       if (!Axiom.isTrue()) {
-        ALIVE_STAT_COUNTER(AckAxioms, "solver.ack_axioms");
         AckAxioms.inc();
         Blaster->assertTrue(Axiom);
       }
@@ -97,15 +101,9 @@ void Solver::add(Expr E) {
 /// global registry (delta-based so the CNF-building hot path stays free of
 /// atomics).
 void Solver::flushBlastStats() {
-  struct Handles {
-    stats::Counter Clauses = stats::counter("bitblast.clauses");
-    stats::Counter Vars = stats::counter("bitblast.vars");
-    stats::Counter Hits = stats::counter("bitblast.cache_hits");
-  };
-  static Handles H;
-  H.Clauses.inc(Blaster->numClausesEmitted() - SeenBlastClauses);
-  H.Vars.inc(Blaster->numFreshVars() - SeenBlastVars);
-  H.Hits.inc(Blaster->numCacheHits() - SeenBlastHits);
+  BlastClauses.inc(Blaster->numClausesEmitted() - SeenBlastClauses);
+  BlastVars.inc(Blaster->numFreshVars() - SeenBlastVars);
+  BlastHits.inc(Blaster->numCacheHits() - SeenBlastHits);
   SeenBlastClauses = Blaster->numClausesEmitted();
   SeenBlastVars = Blaster->numFreshVars();
   SeenBlastHits = Blaster->numCacheHits();

@@ -9,11 +9,20 @@
 #include "support/Trace.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
 using namespace alive;
 using namespace alive::support;
+
+ALIVE_STAT_COUNTER(QueryHits, "cache.query.hits");
+ALIVE_STAT_COUNTER(QueryMisses, "cache.query.misses");
+ALIVE_STAT_COUNTER(PairHits, "cache.pair.hits");
+ALIVE_STAT_COUNTER(PairMisses, "cache.pair.misses");
+ALIVE_STAT_COUNTER(Evictions, "cache.evictions");
+ALIVE_STAT_COUNTER(Loaded, "cache.disk.loaded");
+ALIVE_STAT_COUNTER(Appended, "cache.disk.appended");
 
 namespace {
 
@@ -137,31 +146,27 @@ std::string QueryCache::filePath() const {
 }
 
 bool QueryCache::findQuery(const Fingerprint &K, CachedQuery &Out) {
-  ALIVE_STAT_COUNTER(Hits, "cache.query.hits");
-  ALIVE_STAT_COUNTER(Misses, "cache.query.misses");
   Shard &S = shard(K);
   std::lock_guard<std::mutex> Lock(S.Mu);
   auto It = S.Queries.find(K);
   if (It == S.Queries.end()) {
-    Misses.inc();
+    QueryMisses.inc();
     return false;
   }
-  Hits.inc();
+  QueryHits.inc();
   Out = It->second;
   return true;
 }
 
 bool QueryCache::findPair(const Fingerprint &K, CachedVerdict &Out) {
-  ALIVE_STAT_COUNTER(Hits, "cache.pair.hits");
-  ALIVE_STAT_COUNTER(Misses, "cache.pair.misses");
   Shard &S = shard(K);
   std::lock_guard<std::mutex> Lock(S.Mu);
   auto It = S.Pairs.find(K);
   if (It == S.Pairs.end()) {
-    Misses.inc();
+    PairMisses.inc();
     return false;
   }
-  Hits.inc();
+  PairHits.inc();
   Out = It->second;
   return true;
 }
@@ -169,7 +174,6 @@ bool QueryCache::findPair(const Fingerprint &K, CachedVerdict &Out) {
 template <typename Map, typename Value>
 void QueryCache::putIn(Map &M, std::mutex &Mu, const Fingerprint &K,
                        Value V) {
-  ALIVE_STAT_COUNTER(Evictions, "cache.evictions");
   std::lock_guard<std::mutex> Lock(Mu);
   if (M.size() >= Cfg.MaxEntriesPerShard && !M.count(K)) {
     // Coarse capacity control: drop a quarter of the shard in hash order.
@@ -212,7 +216,6 @@ size_t QueryCache::size() const {
 bool QueryCache::load(std::string *Err) {
   if (Cfg.Dir.empty())
     return true;
-  ALIVE_STAT_COUNTER(Loaded, "cache.disk.loaded");
   std::lock_guard<std::mutex> Lock(DiskMu);
   FileRecords = 0;
   std::ifstream In(filePath());
@@ -284,8 +287,15 @@ bool QueryCache::load(std::string *Err) {
 bool QueryCache::flush(std::string *Err) {
   if (Cfg.Dir.empty())
     return true;
-  ALIVE_STAT_COUNTER(Appended, "cache.disk.appended");
   std::lock_guard<std::mutex> Lock(DiskMu);
+  // The first run against a new directory creates it.
+  std::error_code EC;
+  std::filesystem::create_directories(Cfg.Dir, EC);
+  if (EC) {
+    if (Err)
+      *Err = "cannot create cache directory " + Cfg.Dir + ": " + EC.message();
+    return false;
+  }
   size_t Live = 0;
   for (Shard &S : Shards) {
     std::lock_guard<std::mutex> SLock(S.Mu);

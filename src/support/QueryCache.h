@@ -69,7 +69,7 @@ class QueryCache {
 public:
   struct Config {
     /// Directory of the on-disk store; empty = in-memory only. The file is
-    /// Dir + "/" + FileName.
+    /// Dir + "/" + FileName; flush() creates a missing directory.
     std::string Dir;
     /// Per-shard entry bound per level; coarse eviction above it.
     size_t MaxEntriesPerShard = size_t(1) << 14;

@@ -19,6 +19,12 @@
 using namespace alive;
 using namespace alive::support;
 
+ALIVE_STAT_COUNTER(SampleCount, "watchdog.samples");
+ALIVE_STAT_COUNTER(DeadlineTripped, "deadline.tripped");
+ALIVE_STAT_COUNTER(WatchdogTrips, "watchdog.trips");
+ALIVE_STAT_COUNTER(WatchdogCancelled, "watchdog.cancelled");
+ALIVE_STAT_SAMPLER(RssMb, "watchdog.rss_mb");
+
 using Clock = std::chrono::steady_clock;
 
 static Clock::duration secondsToDuration(double Sec) {
@@ -101,12 +107,6 @@ size_t ResourceGovernor::processRssBytes() {
 }
 
 void ResourceGovernor::samplerLoop() {
-  ALIVE_STAT_COUNTER(SampleCount, "watchdog.samples");
-  ALIVE_STAT_COUNTER(DeadlineTripped, "deadline.tripped");
-  ALIVE_STAT_COUNTER(WatchdogTrips, "watchdog.trips");
-  ALIVE_STAT_COUNTER(WatchdogCancelled, "watchdog.cancelled");
-  ALIVE_STAT_SAMPLER(RssMb, "watchdog.rss_mb");
-
   auto Interval = secondsToDuration(
       Cfg.SampleIntervalSec > 0 ? Cfg.SampleIntervalSec : 0.02);
 

@@ -19,10 +19,9 @@
 /// live on prof::Span records; see DESIGN.md "Observability").
 ///
 /// Handles returned by counter() stay valid forever: reset() zeroes the
-/// values between verifications but never invalidates a slot, so
-/// function-local static handles (ALIVE_STAT_COUNTER) are safe. Everything
-/// is off the hot path except Counter::inc, which is a single relaxed
-/// fetch_add.
+/// values between verifications but never invalidates a slot, so static
+/// handles (ALIVE_STAT_COUNTER) are safe. Everything is off the hot path
+/// except Counter::inc, which is a single relaxed fetch_add.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -141,12 +140,15 @@ inline Sampler sampler(const std::string &Name) {
 
 } // namespace alive::stats
 
-/// Declares a function-local static counter handle: one registry lookup on
-/// first execution, a relaxed fetch_add per use afterwards.
+/// Declares a static counter handle: one registry lookup when it is
+/// initialized, a relaxed fetch_add per use afterwards. Declare it at
+/// namespace scope, next to the code that bumps it: the counter is then
+/// registered at start-up and every snapshot lists it, as 0 while nothing
+/// has counted it.
 #define ALIVE_STAT_COUNTER(VAR, NAME)                                          \
   static ::alive::stats::Counter VAR = ::alive::stats::counter(NAME)
 
-/// Same for a function-local static distribution handle.
+/// Same for a static distribution handle.
 #define ALIVE_STAT_SAMPLER(VAR, NAME)                                          \
   static ::alive::stats::Sampler VAR = ::alive::stats::sampler(NAME)
 

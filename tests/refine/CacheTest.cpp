@@ -251,6 +251,33 @@ TEST(Cache, PersistsAcrossValidators) {
   fs::remove_all(Dir);
 }
 
+TEST(Cache, PersistsIntoDirectoryNotYetCreated) {
+  // The first run against a new --cache-dir creates the directory on flush,
+  // and the next run is answered from the store.
+  namespace fs = std::filesystem;
+  fs::path Root = fs::temp_directory_path() / "alive2re-cache-newdir-test";
+  fs::remove_all(Root);
+  fs::path Dir = Root / "nested" / "cache";
+
+  auto SrcM = ir::parseModuleOrDie(SrcMod);
+  auto TgtM = ir::parseModuleOrDie(TgtMod);
+  Options O = baseOpts();
+  O.Cache.Dir = Dir.string();
+  {
+    Validator V(O);
+    V.verifyModules(*SrcM, *TgtM, /*Jobs=*/1);
+    std::string Err;
+    ASSERT_TRUE(V.flushCache(&Err)) << Err;
+  }
+  ASSERT_TRUE(fs::exists(Dir / support::QueryCache::FileName));
+  {
+    Validator V(O);
+    for (const PairResult &R : V.verifyModules(*SrcM, *TgtM, /*Jobs=*/1))
+      EXPECT_TRUE(R.V.Cached) << R.Name;
+  }
+  fs::remove_all(Root);
+}
+
 TEST(Cache, ParallelWarmBatchHitsUnderJ4) {
   // Tier-2 (concurrency label): four workers racing the same shards must
   // produce the same replayed verdicts as the serial cold run.

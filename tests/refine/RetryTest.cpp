@@ -99,6 +99,31 @@ TEST(Retry, LadderEscalatesTimeoutToCorrect) {
   EXPECT_GE(R.CumulativeSeconds, R.Seconds);
 }
 
+TEST(Retry, UnfiredCountersAreListedAsZero) {
+  // An easy pair with no ladder: no retry, deadline or skipped seed ever
+  // happens, and each of those totals still reads 0 rather than missing.
+  auto SrcM = ir::parseModuleOrDie(EasySrc);
+  auto TgtM = ir::parseModuleOrDie(EasyTgt);
+  stats::Registry::get().reset();
+  Options O;
+  O.Cache = CachePolicy::disabled();
+  Verdict R = Validator(O).verifyPair(*SrcM->function(0u),
+                                      *TgtM->function(0u), SrcM.get());
+  ASSERT_EQ(R.Kind, VerdictKind::Correct);
+  stats::Snapshot S = stats::Registry::get().snapshot();
+  for (const char *Name :
+       {"ef.seeds_skipped", "retry.attempts", "retry.exhausted",
+        "retry.requeued", "retry.resolved", "deadline.skipped"}) {
+    bool Listed = false;
+    for (const auto &[N, V] : S.Counters)
+      if (N == Name) {
+        Listed = true;
+        EXPECT_EQ(V, 0u) << Name;
+      }
+    EXPECT_TRUE(Listed) << Name;
+  }
+}
+
 TEST(Retry, ExhaustedLadderSaysSo) {
   auto SrcM = ir::parseModuleOrDie(EasySrc);
   auto TgtM = ir::parseModuleOrDie(EasyTgt);

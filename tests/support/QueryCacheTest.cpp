@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 // The query/verdict cache in isolation: in-memory behavior (both levels,
 // eviction), and the on-disk store (round-trip, append-then-compact,
-// version-mismatch rejection, corrupt-line tolerance).
+// version-mismatch rejection, corrupt-line tolerance, directory creation).
 //===----------------------------------------------------------------------===//
 
 #include "support/QueryCache.h"
@@ -212,9 +212,13 @@ TEST(QueryCache, MalformedLinesSkippedAndCompactedAway) {
   EXPECT_EQ(Records, 1u);
 }
 
-TEST(QueryCache, FlushToMissingDirFails) {
+TEST(QueryCache, FlushToUncreatableDirFails) {
+  // flush() creates a missing directory, but none can be made under a
+  // regular file.
+  TempDir D("uncreatable");
+  std::ofstream(D.P / "file") << "not a directory\n";
   QueryCache::Config Cfg;
-  Cfg.Dir = "/nonexistent-dir-for-alive2re-test";
+  Cfg.Dir = (D.P / "file" / "cache").string();
   QueryCache C(Cfg);
   C.putQuery(fp(1, 1), CachedQuery());
   std::string Err;

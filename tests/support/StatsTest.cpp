@@ -55,6 +55,20 @@ TEST(Stats, MacroHandleWorks) {
   EXPECT_EQ(counter("test.macro_handle").value(), 2u);
 }
 
+ALIVE_STAT_COUNTER(DeclaredNeverBumped, "test.declared_never_bumped");
+
+TEST(Stats, DeclaredCounterListedAtZero) {
+  // A namespace-scope handle registers at start-up: the snapshot and the
+  // --stats table list it before anything has counted it.
+  EXPECT_EQ(DeclaredNeverBumped.value(), 0u);
+  bool Listed = false;
+  for (const auto &[Name, V] : Registry::get().snapshot().Counters)
+    Listed |= Name == "test.declared_never_bumped" && V == 0;
+  EXPECT_TRUE(Listed);
+  EXPECT_NE(Registry::get().table().find("test.declared_never_bumped"),
+            std::string::npos);
+}
+
 TEST(Stats, DistributionSummary) {
   Registry &R = Registry::get();
   R.addSample("test.dist", 2.0);

@@ -9,6 +9,7 @@
 // that spans write.
 //===----------------------------------------------------------------------===//
 
+#include "smt/ExistsForall.h"
 #include "support/Profile.h"
 #include "support/Trace.h"
 
@@ -187,6 +188,33 @@ TEST(TraceSpans, NestedSpansWriteOneLineEachChildFirst) {
   EXPECT_NE(Out.find("\"detail\":\"f \\\"quoted\\\"\""), std::string::npos)
       << Out;
   EXPECT_NE(Out.find("\"pairs\":3"), std::string::npos) << Out;
+}
+
+TEST(TraceSpans, EfSearchRecordCountsInstantiations) {
+  // exists x . not exists y . y > x: every candidate below the maximum is
+  // spurious and costs one instantiation of the universal.
+  smt::Expr X = smt::mkFreshVar("x", 8), Y = smt::mkFreshVar("y", 8);
+  smt::EFQuery Q;
+  Q.Inner = smt::mkUgt(Y, X);
+  Q.InnerVars = {Y.id()};
+  std::ostringstream SS;
+  trace::setStream(&SS);
+  smt::EFOutcome R = smt::solveExistsForall(Q, smt::SolverBudget());
+  trace::setStream(nullptr);
+  ASSERT_EQ(R.Res, smt::SatResult::Sat);
+  EXPECT_EQ(R.Instantiations, R.Iterations - 1);
+
+  std::string Rec;
+  for (const std::string &L : lines(SS))
+    if (L.rfind("{\"event\":\"ef_search\",", 0) == 0)
+      Rec = L;
+  ASSERT_FALSE(Rec.empty()) << SS.str();
+  EXPECT_NE(Rec.find("\"instantiations\":" +
+                     std::to_string(R.Instantiations) + ","),
+            std::string::npos)
+      << Rec;
+  EXPECT_NE(Rec.find("\"seeds_accepted\":"), std::string::npos) << Rec;
+  EXPECT_NE(Rec.find("\"seeds_skipped\":"), std::string::npos) << Rec;
 }
 
 TEST(TraceSpans, NothingWrittenWhenOff) {

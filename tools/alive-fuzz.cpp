@@ -44,6 +44,9 @@
 
 using namespace alive;
 
+ALIVE_STAT_COUNTER(CtrRuns, "fuzz.runs");
+ALIVE_STAT_COUNTER(CtrFailures, "fuzz.failures");
+
 namespace {
 
 void usage() {
@@ -390,9 +393,6 @@ int main(int argc, char **argv) {
   fuzz::Reducer::Limits RL;
   RL.MaxCandidates = MaxCandidates;
   fuzz::Reducer Reducer(Oracle, RL);
-
-  ALIVE_STAT_COUNTER(CtrRuns, "fuzz.runs");
-  ALIVE_STAT_COUNTER(CtrFailures, "fuzz.failures");
 
   std::filesystem::path Root(ArtifactsDir);
   unsigned TotalFailures = 0;

@@ -11,7 +11,8 @@ Two modes, combinable:
 
   --alive-tv BIN --src S --tgt T --cache-dir DIR
                           drive a cold + warm alive-tv --json run against a
-                          wiped DIR and assert the cache contract: the warm
+                          removed DIR (the cold run must create it) and
+                          assert the cache contract: the warm
                           run reports every pair as cached, its verdicts are
                           identical to the cold run's, and the stats counter
                           cache.pair.hits is positive (hit-rate > 0). The
@@ -113,8 +114,8 @@ def verdict_key(pair):
 
 
 def check_cold_warm(args, errors):
+    # Start without the directory: the cold run must create it.
     shutil.rmtree(args.cache_dir, ignore_errors=True)
-    os.makedirs(args.cache_dir)
     cache = ["--cache-dir", args.cache_dir]
 
     cold = run_tv(args, cache, errors)
